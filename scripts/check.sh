@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification, five times:
-#   1. the plain configuration (what CI and benchmarks use),
-#   2. a Release (-O2 -DNDEBUG) configuration running the full suite —
-#      the vectorized columnar kernels only show their real codegen with
-#      optimization on, and the row/columnar differential suite must
-#      hold there too, and
+#   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
+#      benchmarks use; the columnar kernels' real codegen),
+#   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
+#      suite — every other build defines NDEBUG, so this is the one where
+#      the program's asserts and the standard library's bounds checks
+#      run, and
 #   3. an ASan+UBSan configuration with failpoints compiled in, so the
 #      fault-injection stress tests actually run and every injected
 #      failure path is checked for leaks and UB, and
@@ -28,10 +29,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [2/5] Release (-O2 -DNDEBUG) build + tests =="
-cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-rel -j "$JOBS"
-ctest --test-dir build-rel --output-on-failure -j "$JOBS"
+echo "== [2/5] Debug + _GLIBCXX_ASSERTIONS build + tests =="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
+cmake --build build-debug -j "$JOBS"
+ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 
 echo "== [3/5] sanitized build (address;undefined) + failpoints + tests =="
 cmake -B build-asan -S . \

@@ -42,6 +42,8 @@ const char* PhysicalKindName(PhysicalKind kind) {
       return "HashJoin";
     case PhysicalKind::kSortMergeJoin:
       return "SortMergeJoin";
+    case PhysicalKind::kProbeJoin:
+      return "ProbeJoin";
     case PhysicalKind::kDivision:
       return "Division";
     case PhysicalKind::kGroupDivision:
@@ -149,6 +151,15 @@ std::string PhysicalNode::Label() const {
       }
       out += ")";
       break;
+    case PhysicalKind::kProbeJoin: {
+      // Keys name the stored relation's columns, whichever path probes.
+      std::vector<JoinKey> stored = keys;
+      if (probe_by_index) stored[0].right = index_column;
+      out += "(" + std::string(JoinVariantName(variant)) + ", " +
+             relation_name + (probe_by_index ? ", index" : ", contains") +
+             ", keys=" + KeysToString(stored) + ")";
+      break;
+    }
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount:
       out += "(group=" + std::to_string(group_arity) + ")";

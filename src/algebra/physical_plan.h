@@ -41,6 +41,7 @@ enum class PhysicalKind {
   kProduct,        // ×, right side materialized
   kHashJoin,       // build + probe; covers all five JoinVariants
   kSortMergeJoin,  // sort both sides + merge; covers all five variants
+  kProbeJoin,      // semi/anti join probing a stored relation in place
   kDivision,       // ÷
   kGroupDivision,  // per-group ÷
   kGroupCount,     // γ
@@ -81,15 +82,20 @@ struct PhysicalNode {
   PhysicalKind kind = PhysicalKind::kTableScan;
   std::vector<PhysicalPlanPtr> children;
 
-  /// kTableScan / kIndexScan: base relation name, resolved against the
-  /// catalog at instantiation time (never a raw pointer, so cached plans
-  /// survive catalog updates).
+  /// kTableScan / kIndexScan / kProbeJoin: base relation name, resolved
+  /// against the catalog at instantiation time (never a raw pointer, so
+  /// cached plans survive catalog updates).
   std::string relation_name;
   /// kLiteralScan: the inline relation, shared with the logical plan.
   std::shared_ptr<const Relation> literal;
-  /// kIndexScan: the indexed equality `column = value`.
+  /// kIndexScan: the indexed equality `column = value`. kProbeJoin with
+  /// `probe_by_index`: the probed column of `relation_name`.
   size_t index_column = 0;
   Value index_value;
+  /// kProbeJoin: true probes the index on `index_column` (the build child
+  /// is π_index_column(relation)); false probes Relation::Contains (the
+  /// build child is the relation itself, every column keyed once).
+  bool probe_by_index = false;
 
   /// kFilter predicate; kIndexScan residual; kHashJoin/kSortMergeJoin
   /// residual (kInner, over the concatenated tuple) or probe constraint
@@ -98,7 +104,7 @@ struct PhysicalNode {
 
   /// kProject columns.
   std::vector<size_t> columns;
-  /// Join-family equi-key pairs (left column = right column).
+  /// Join-family equi-key pairs (left column = right child's column).
   std::vector<JoinKey> keys;
   JoinVariant variant = JoinVariant::kInner;
   /// kHashJoin build-side placement: true builds the hash table on the

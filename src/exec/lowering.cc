@@ -142,6 +142,9 @@ class Lowerer {
                             : JoinVariant::kSemi;
         node->keys = expr->keys();
         BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
+        if (node->kind == PhysicalKind::kHashJoin) {
+          BRYQL_RETURN_NOT_OK(ChooseProbeJoin(expr, node.get()));
+        }
         break;
       }
       case ExprKind::kOuterJoin: {
@@ -230,6 +233,43 @@ class Lowerer {
                : PhysicalKind::kHashJoin;
   }
 
+  /// A semi- or complement-join whose build side is a stored relation R
+  /// probes R in place instead of hashing it: R.Contains when the keys
+  /// name every column of R exactly once, R's index on c when the build
+  /// is π_c(R). Either does a subset of the hash join's work, so no cost
+  /// contest is needed. The lowered build child stays in the plan: it is
+  /// what the operator charges to the governor, and what it builds after
+  /// all if the index is gone at run time.
+  Status ChooseProbeJoin(const ExprPtr& expr, PhysicalNode* node) {
+    const ExprPtr& build = expr->right();
+    const std::vector<JoinKey>& keys = expr->keys();
+    if (build->kind() == ExprKind::kScan) {
+      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
+                             db_.Get(build->relation_name()));
+      if (keys.size() != rel->arity()) return Status::Ok();
+      std::vector<bool> keyed(rel->arity(), false);
+      for (const JoinKey& k : keys) {
+        if (keyed[k.right]) return Status::Ok();
+        keyed[k.right] = true;
+      }
+    } else if (build->kind() == ExprKind::kProject &&
+               build->columns().size() == 1 && keys.size() == 1 &&
+               build->child()->kind() == ExprKind::kScan) {
+      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
+                             db_.Get(build->child()->relation_name()));
+      if (!rel->HasIndex(build->columns()[0])) return Status::Ok();
+      node->probe_by_index = true;
+      node->index_column = build->columns()[0];
+    } else {
+      return Status::Ok();
+    }
+    node->kind = PhysicalKind::kProbeJoin;
+    node->relation_name = node->probe_by_index
+                              ? build->child()->relation_name()
+                              : build->relation_name();
+    return Status::Ok();
+  }
+
   Status LowerChildren(const ExprPtr& expr, PhysicalNode* node) {
     node->children.reserve(expr->children().size());
     for (const ExprPtr& child : expr->children()) {
@@ -305,6 +345,14 @@ void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
       build->parallel_role = ParallelRole::kBuildShared;
       break;
     }
+    case PhysicalKind::kProbeJoin:
+      // Probe side streams per worker; the stored relation is probed
+      // read-only, and the build child runs only as the stale-index
+      // fallback.
+      node->parallel_role = ParallelRole::kPipeline;
+      AnnotateParallel(node->children[0].get(), true);
+      AnnotateParallel(node->children[1].get(), false);
+      break;
     case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:

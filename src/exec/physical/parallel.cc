@@ -5,6 +5,7 @@
 
 #include "common/failpoints.h"
 #include "common/thread_pool.h"
+#include "exec/physical/probe_join.h"
 #include "exec/physical/runtime.h"
 
 namespace bryql {
@@ -200,6 +201,19 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       BRYQL_RETURN_NOT_OK(BuildJoinShared(node));
       return PrepareSpine(node->build_left ? node->children[1]
                                            : node->children[0]);
+    }
+    case PhysicalKind::kProbeJoin: {
+      // Where BuildJoinShared would drain the build, the coordinator
+      // charges it once; workers probe the const relation.
+      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
+                             db_->Get(node->relation_name));
+      if (ProbesInPlace(*node, *rel)) {
+        BRYQL_RETURN_NOT_OK(
+            ApplyCharge(SkippedBuildCharge(*node, *rel), governor_, stats_));
+      } else {
+        BRYQL_RETURN_NOT_OK(BuildJoinShared(node));  // stale plan
+      }
+      return PrepareSpine(node->children[0]);
     }
     case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:

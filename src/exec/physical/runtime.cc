@@ -13,6 +13,7 @@
 #include "exec/physical/filter.h"
 #include "exec/physical/hash_join.h"
 #include "exec/physical/parallel.h"
+#include "exec/physical/probe_join.h"
 #include "exec/physical/scan.h"
 #include "exec/physical/set_ops.h"
 #include "exec/physical/sort_merge_join.h"
@@ -226,6 +227,26 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       op = PhysicalOpPtr(new ProductOp(std::move(left), std::move(right),
                                        node->children[1]->arity, ctx_));
       break;
+    }
+    case PhysicalKind::kProbeJoin: {
+      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
+                             ctx_.db->Get(node->relation_name));
+      if (ProbesInPlace(*node, *rel)) {
+        BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr probe,
+                               Build(node->children[0], depth + 1));
+        // The build child is never instantiated; count its operators as
+        // the hash join would. Parallel workers probe only: their
+        // coordinator charged the build once (ParallelRuntime).
+        ctx_.stats->operators += node->children[1]->Size();
+        const BuildCharge charge = ctx_.shared == nullptr
+                                       ? SkippedBuildCharge(*node, *rel)
+                                       : BuildCharge{};
+        op = PhysicalOpPtr(
+            new ProbeJoinOp(std::move(probe), rel, *node, charge, ctx_));
+        break;
+      }
+      // The index is gone (a stale plan): hash-join the build child.
+      [[fallthrough]];
     }
     case PhysicalKind::kHashJoin: {
       // Parallel workers: a pre-built SharedJoinBuild replaces the build

@@ -17,11 +17,12 @@ Result<const Relation*> Database::Get(const std::string& name) const {
   auto it = relations_.find(name);
   if (it != relations_.end()) return &it->second;
   if (name == "dom") {
-    if (domain_cache_version_ != version_) {
-      domain_cache_ = ActiveDomain();
-      domain_cache_version_ = version_;
+    std::lock_guard<std::mutex> lock(domain_.mutex);
+    if (domain_.version != version_) {
+      domain_.relation = ActiveDomain();
+      domain_.version = version_;
     }
-    return &domain_cache_;
+    return &domain_.relation;
   }
   return Status::NotFound("no relation named '" + name + "'");
 }

@@ -2,6 +2,7 @@
 #define BRYQL_STORAGE_DATABASE_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,7 @@ class Database {
   /// The relation bound to `name`, or NotFound. The name "dom" — unless
   /// shadowed by a stored relation — resolves to the active domain (the
   /// paper's Domain Closure Assumption view, §2.1), cached and rebuilt
-  /// after updates.
+  /// after updates. Safe to call from concurrent readers.
   Result<const Relation*> Get(const std::string& name) const;
 
   /// Arity of the relation bound to `name`, or NotFound.
@@ -70,10 +71,24 @@ class Database {
   uint64_t version() const { return version_; }
 
  private:
+  /// The "dom" view, rebuilt when version_ advances. Concurrent readers
+  /// may be the first to touch it, so the rebuild is locked. A copy starts
+  /// empty and rebuilds on first use, which keeps Database copyable.
+  struct DomainCache {
+    DomainCache() = default;
+    DomainCache(const DomainCache&) {}
+    DomainCache& operator=(const DomainCache&) {
+      relation = Relation(1);
+      version = 0;
+      return *this;
+    }
+    std::mutex mutex;
+    Relation relation{1};
+    uint64_t version = 0;
+  };
+
   std::map<std::string, Relation> relations_;
-  /// Cache for the "dom" view; rebuilt when version_ advances.
-  mutable Relation domain_cache_{1};
-  mutable uint64_t domain_cache_version_ = 0;
+  mutable DomainCache domain_;
   uint64_t version_ = 1;
 };
 

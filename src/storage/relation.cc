@@ -84,6 +84,11 @@ const std::vector<size_t>& Relation::Matches(size_t column,
   return vit == it->second.end() ? kEmpty : vit->second;
 }
 
+size_t Relation::IndexKeyCount(size_t column) const {
+  auto it = column_indexes_.find(column);
+  return it == column_indexes_.end() ? 0 : it->second.size();
+}
+
 std::vector<Tuple> Relation::SortedRows() const {
   std::vector<Tuple> sorted = rows_;
   std::sort(sorted.begin(), sorted.end());

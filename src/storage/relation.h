@@ -87,6 +87,8 @@ class Relation {
   /// BuildIndex degrade to "no index hits", not undefined behaviour.
   const std::vector<size_t>& Matches(size_t column,
                                      const Value& value) const;
+  /// Distinct values in the index on `column` (0 without an index).
+  size_t IndexKeyCount(size_t column) const;
 
   /// --- columnar representation ------------------------------------
   /// An optional column-major mirror of rows(), built on demand and then

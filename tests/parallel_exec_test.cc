@@ -3,7 +3,8 @@
 // budget), and the headline differential — the whole paper query suite
 // must produce identical answers at num_threads ∈ {1, 2, 8} and serial,
 // with identical Status verdicts under tuple budgets, deadlines and
-// cancellation. Also covers concurrent QueryProcessor use: many threads
+// cancellation. The probe-join differential runs here at 2 and 8
+// workers. Also covers concurrent QueryProcessor use: many threads
 // sharing one processor (and so one plan cache) must never race or lose
 // counter increments; scripts/check.sh runs this binary under TSan.
 
@@ -20,6 +21,7 @@
 #include "common/thread_pool.h"
 #include "core/query_processor.h"
 #include "exec/physical/parallel.h"
+#include "probe_join_cases.h"
 #include "workload/university.h"
 
 namespace bryql {
@@ -291,6 +293,21 @@ TEST_P(ParallelDifferentialTest, DeadlineAndCancellationParity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDifferentialTest,
                          ::testing::Values(1u, 2u, 7u));
+
+// ---------------------------------------------------------------------
+// Probe joins in parallel: the coordinator charges the skipped build once
+// and workers probe the stored relation concurrently (see
+// probe_join_test for the serial runs and the lowering shapes).
+
+TEST(ParallelProbeJoinTest, MatchesOracleAndHashTwinAtEveryDegree) {
+  for (size_t threads : {2u, 8u}) {
+    probe_join_cases::ExpectParity(/*seed=*/1, threads);
+  }
+}
+
+TEST(ParallelProbeJoinTest, IndexLessReplacementFallsBackToTheHashJoin) {
+  probe_join_cases::ExpectStaleIndexFallsBack(/*threads=*/2);
+}
 
 // ---------------------------------------------------------------------
 // Concurrent QueryProcessor use: one processor, one plan cache, many

@@ -85,6 +85,47 @@ TEST(QueryServiceTest, FaultFreePathMatchesDirectRun) {
   EXPECT_EQ(stats.retries, 0u);
 }
 
+/// The "dom" view (the active domain, which the classical strategy and
+/// domain closure range variables over) is rebuilt lazily by the first
+/// reader after each catalog change. Concurrent queries that are the
+/// first to touch it must not race on that rebuild (TSan runs this
+/// binary).
+TEST(QueryServiceTest, ConcurrentFirstTouchOfDomIsSafe) {
+  const char kDomQuery[] = "{ x | dom(x) & ~student(x) }";
+  Database db = MakeUniversity(SmallConfig(4));
+  QueryProcessor qp(&db);
+  ServiceOptions options;
+  options.max_concurrency = 4;
+  QueryService service(&qp, options);
+  constexpr size_t kClients = 4;
+  for (int round = 0; round < 3; ++round) {
+    // A catalog change between rounds makes the next readers rebuild.
+    ASSERT_TRUE(db.PutRows("extra", {Tuple({Value::Int(round)})}).ok());
+    Database copy = db;  // a copy rebuilds its own view
+    QueryProcessor reference_qp(&copy);
+    auto reference = reference_qp.Run(kDomQuery, Strategy::kNestedLoop);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+
+    std::atomic<bool> go{false};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        while (!go.load()) std::this_thread::yield();
+        auto reply = service.Run(
+            kDomQuery, c % 2 == 0 ? Strategy::kClassical : Strategy::kBry);
+        if (!reply.ok() || reply->execution.answer.relation !=
+                               reference->answer.relation) {
+          wrong.fetch_add(1);
+        }
+      });
+    }
+    go.store(true);
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0) << "round " << round;
+  }
+}
+
 TEST(QueryServiceTest, SemanticErrorsPassThroughWithoutRetries) {
   Database db = MakeUniversity(SmallConfig(3));
   QueryProcessor qp(&db);
