@@ -7,10 +7,23 @@
 // relation on every run. Reported: CPU time per check, and the paper's
 // counters, which the choice of join must not move.
 //
+// The storage block prices the rest of a commit at 2000 and 8000
+// students: copying `student`, `enrolled` and `attends` (all indexes and
+// column stores), inserting a 160-row batch into the copies, and
+// installing them with Database::Put, which frees the replaced relations.
+// Reported: CPU time per step, stored tuples, and RSS growth per stored
+// tuple while copies are held.
+//
 //   ./build/bench/bench_integrity [--json]
 
+#include <malloc.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -98,10 +111,121 @@ void BM_E9Universal(benchmark::State& state) {
   bench::ReportStats(state, exec.stats, bench::AnswerSize(exec));
 }
 
+// --- storage: the write side of a commit ------------------------------
+
+constexpr const char* kWritten[] = {"student", "enrolled", "attends"};
+constexpr size_t kNumWritten = sizeof(kWritten) / sizeof(kWritten[0]);
+
+std::vector<Relation> CopyWritten(const Database& db) {
+  std::vector<Relation> copies;
+  copies.reserve(kNumWritten);
+  for (const char* name : kWritten) copies.push_back(**db.Get(name));
+  return copies;
+}
+
+/// 20 new students, each with a student row, an enrollment and six
+/// lectures: 160 rows, (index into kWritten, tuple).
+std::vector<std::pair<size_t, Tuple>> MakeBatch() {
+  std::vector<std::pair<size_t, Tuple>> batch;
+  for (size_t i = 0; i < 20; ++i) {
+    const Value name = Value::String("new" + std::to_string(i));
+    batch.push_back({0, Tuple({name})});
+    batch.push_back({1, Tuple({name, Value::String("cs")})});
+    for (size_t k = 0; k < 6; ++k) {
+      batch.push_back(
+          {2, Tuple({name, Value::String("l" + std::to_string(i + 7 * k))})});
+    }
+  }
+  return batch;
+}
+
+size_t StoredTuples(const Database& db) {
+  size_t tuples = 0;
+  for (const char* name : kWritten) tuples += (*db.Get(name))->size();
+  return tuples;
+}
+
+/// Resident set size in bytes (/proc/self/statm).
+double RssBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return static_cast<double>(resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE));
+}
+
+/// RSS growth per stored tuple while copies of the written relations are
+/// held: enough copies for ~200k tuples, so allocator slack is small
+/// beside them.
+double RssBytesPerTuple(const Database& db) {
+  const size_t tuples = StoredTuples(db);
+  const size_t count = std::max<size_t>(1, 200000 / tuples);
+  malloc_trim(0);
+  const double before = RssBytes();
+  std::vector<std::vector<Relation>> held;
+  for (size_t i = 0; i < count; ++i) held.push_back(CopyWritten(db));
+  const double grown = RssBytes() - before;
+  return grown / static_cast<double>(count * tuples);
+}
+
+void ReportTuples(benchmark::State& state, const Database& db) {
+  state.counters["tuples"] =
+      benchmark::Counter(static_cast<double>(StoredTuples(db)));
+}
+
+void BM_StorageCopy(benchmark::State& state) {
+  Database db = MakeDb(static_cast<size_t>(state.range(0)));
+  const double rss_per_tuple = RssBytesPerTuple(db);
+  for (auto _ : state) {
+    std::vector<Relation> copies = CopyWritten(db);
+    benchmark::DoNotOptimize(copies.data());
+    state.PauseTiming();  // freeing the copies is BM_StoragePut's cost
+    copies.clear();
+    state.ResumeTiming();
+  }
+  ReportTuples(state, db);
+  state.counters["rss_B_per_tuple"] = benchmark::Counter(rss_per_tuple);
+}
+
+void BM_StorageInsert(benchmark::State& state) {
+  Database db = MakeDb(static_cast<size_t>(state.range(0)));
+  const std::vector<std::pair<size_t, Tuple>> batch = MakeBatch();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Relation> copies = CopyWritten(db);
+    state.ResumeTiming();
+    for (const auto& [rel, tuple] : batch) {
+      if (!*copies[rel].Insert(tuple)) std::abort();  // rows are new
+    }
+    state.PauseTiming();
+    copies.clear();
+    state.ResumeTiming();
+  }
+  state.counters["rows"] = benchmark::Counter(static_cast<double>(batch.size()));
+}
+
+void BM_StoragePut(benchmark::State& state) {
+  Database db = MakeDb(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Relation> copies = CopyWritten(db);
+    state.ResumeTiming();
+    for (size_t k = 0; k < kNumWritten; ++k) {
+      db.Put(kWritten[k], std::move(copies[k]));
+    }
+  }
+  ReportTuples(state, db);
+}
+
 BENCHMARK(BM_Check)->DenseRange(0, kNumConstraints - 1)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(BM_AllChecks)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_E9Universal)->Arg(8000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StorageCopy)->Arg(2000)->Arg(8000)->Unit(
+    benchmark::kMillisecond);
+BENCHMARK(BM_StorageInsert)->Arg(2000)->Arg(8000)->Unit(
+    benchmark::kMicrosecond);
+BENCHMARK(BM_StoragePut)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bryql

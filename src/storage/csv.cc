@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,18 @@ Value ParseCell(std::string_view cell) {
     if (end == owned.c_str() + owned.size()) return Value::Double(as_double);
   }
   return Value::String(std::string(cell));
+}
+
+/// The shortest text that reads back as the same double. It keeps a '.'
+/// or an exponent (or is inf/nan), so ParseCell reads it as a double, not
+/// an int: 3.0 is written "3.0", -0.0 "-0.0".
+std::string DoubleCell(double value) {
+  char buffer[64];
+  auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  (void)ec;  // 64 bytes hold any shortest double
+  std::string text(buffer, end);
+  if (text.find_first_of(".eEn") == std::string::npos) text += ".0";
+  return text;
 }
 
 }  // namespace
@@ -82,13 +95,17 @@ Result<std::string> RelationToCsv(const Relation& relation) {
         case ValueKind::kInt:
           out += std::to_string(v.AsInt());
           break;
-        case ValueKind::kDouble: {
-          std::ostringstream os;
-          os << v.AsDouble();
-          out += os.str();
+        case ValueKind::kDouble:
+          out += DoubleCell(v.AsDouble());
           break;
-        }
         case ValueKind::kString:
+          // The reader splits on every ',' and line break and knows no
+          // escapes, so such a string would come back as other cells.
+          if (v.AsString().find_first_of(",\n\r") != std::string::npos) {
+            return Status::InvalidArgument(
+                "cannot serialize string " + v.ToString() +
+                ": CSV cells hold no ',' or line break");
+          }
           out += "'" + v.AsString() + "'";
           break;
       }

@@ -7,7 +7,7 @@ namespace bryql {
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       rows_(other.rows_),
-      index_(other.index_),
+      slots_(other.slots_),
       column_indexes_(other.column_indexes_),
       columnar_(other.columnar_
                     ? std::make_unique<ColumnStore>(*other.columnar_)
@@ -17,7 +17,7 @@ Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
   arity_ = other.arity_;
   rows_ = other.rows_;
-  index_ = other.index_;
+  slots_ = other.slots_;
   column_indexes_ = other.column_indexes_;
   columnar_ = other.columnar_
                   ? std::make_unique<ColumnStore>(*other.columnar_)
@@ -45,15 +45,41 @@ Result<bool> Relation::Insert(Tuple tuple) {
         "Insert: tuple arity " + std::to_string(tuple.arity()) +
         " does not match relation arity " + std::to_string(arity_));
   }
-  auto [it, inserted] = index_.insert(tuple);
-  (void)it;
-  if (!inserted) return false;
+  const uint32_t hash = MixHash(tuple);
+  size_t at = 0;
+  if (!slots_.empty()) {
+    at = FindSlot(tuple, hash);
+    if (slots_[at] != kEmptySlot) return false;
+  }
+  if (rows_.size() >= kMaxRows) {
+    return Status::ResourceExhausted(
+        "Insert: relation already holds the maximum of " +
+        std::to_string(kMaxRows) + " rows");
+  }
+  if (2 * (rows_.size() + 1) > slots_.size()) {
+    GrowSlots();
+    at = FindSlot(tuple, hash);
+  }
+  slots_[at] = (static_cast<uint64_t>(hash) << 32) | rows_.size();
   for (auto& [column, column_index] : column_indexes_) {
     column_index[tuple.at(column)].push_back(rows_.size());
   }
   if (columnar_) columnar_->Append(tuple);
   rows_.push_back(std::move(tuple));
   return true;
+}
+
+void Relation::GrowSlots() {
+  std::vector<uint64_t> grown(std::max(kMinSlots, 2 * slots_.size()),
+                              kEmptySlot);
+  const size_t mask = grown.size() - 1;
+  for (uint64_t slot : slots_) {
+    if (slot == kEmptySlot) continue;
+    size_t i = SlotHash(slot) & mask;
+    while (grown[i] != kEmptySlot) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  slots_ = std::move(grown);
 }
 
 void Relation::BuildColumnStore() {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "storage/builder.h"
 #include "storage/csv.h"
@@ -108,6 +114,84 @@ TEST(CsvTest, RefusesInternalSymbols) {
   Relation r(1);
   r.Insert(Tuple({Value::Mark()}));
   EXPECT_FALSE(RelationToCsv(r).ok());
+}
+
+TEST(CsvTest, RefusesSeparatorsInStrings) {
+  // The reader splits on every ',' and line break: such a string would
+  // come back as other cells, so the writer refuses it.
+  for (const char* text : {"a,b", "a\nb", "a\r\nb", ","}) {
+    Relation r(1);
+    ASSERT_TRUE(*r.Insert(Tuple({Value::String(text)})));
+    auto csv = RelationToCsv(r);
+    ASSERT_FALSE(csv.ok()) << text;
+    EXPECT_EQ(csv.status().code(), StatusCode::kInvalidArgument);
+  }
+  Database db;
+  db.Put("p", UnaryStrings({"fine", "a,b"}));
+  Status saved = SaveDatabase(db, ::testing::TempDir() + "/bryql_persist_comma");
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument);
+}
+
+/// Writes `value` as a one-row CSV and reads it back.
+Value CsvRoundTrip(double value) {
+  Relation r(1);
+  EXPECT_TRUE(*r.Insert(Tuple({Value::Double(value)})));
+  auto text = RelationToCsv(r);
+  EXPECT_TRUE(text.ok());
+  auto back = RelationFromCsv(*text);
+  EXPECT_TRUE(back.ok()) << *text;
+  EXPECT_EQ(back->size(), 1u) << *text;
+  return back->rows().front().at(0);
+}
+
+TEST(CsvTest, DoublesRoundTripExactly) {
+  std::vector<double> values = {
+      0.0, -0.0, 3.0, -3.0, 0.1, 0.1234567891, 1e16, 123456789012345680.0,
+      1e300, -1e-300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon()};
+  std::mt19937_64 rng(1989);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(unit(rng));
+    // Any bit pattern: every exponent, subnormals included.
+    const double any = std::bit_cast<double>(rng());
+    if (!std::isnan(any)) values.push_back(any);
+  }
+  for (double value : values) {
+    Value back = CsvRoundTrip(value);
+    ASSERT_EQ(back.kind(), ValueKind::kDouble) << value;
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.AsDouble()),
+              std::bit_cast<uint64_t>(value))
+        << value;
+  }
+  Value nan = CsvRoundTrip(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_EQ(nan.kind(), ValueKind::kDouble);
+  EXPECT_TRUE(std::isnan(nan.AsDouble()));
+}
+
+TEST(PersistenceTest, DoublesSurviveSaveAndLoad) {
+  Database db;
+  Relation r(2);
+  ASSERT_TRUE(*r.Insert(Tuple({Value::Double(0.1234567891), Value::Int(3)})));
+  ASSERT_TRUE(*r.Insert(Tuple({Value::Double(3.0), Value::String("x")})));
+  db.Put("d", std::move(r));
+  std::string dir = ::testing::TempDir() + "/bryql_persist_doubles";
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  auto loaded = LoadDatabase(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Relation& back = **loaded->Get("d");
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back.rows()[0].at(0).kind(), ValueKind::kDouble);
+  EXPECT_EQ(back.rows()[0].at(0).AsDouble(), 0.1234567891);
+  EXPECT_EQ(back.rows()[0].at(1).kind(), ValueKind::kInt);
+  EXPECT_EQ(back.rows()[1].at(0).kind(), ValueKind::kDouble);
+  EXPECT_EQ(back.rows()[1].at(0).AsDouble(), 3.0);
 }
 
 TEST(CsvTest, MissingFileIsNotFound) {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/builder.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
@@ -106,6 +114,14 @@ TEST(RelationTest, ArityZeroEncodesBooleans) {
   EXPECT_TRUE(fals.empty());
   EXPECT_EQ(tru.size(), 1u);
   EXPECT_FALSE(*tru.Insert(Tuple{}));  // only one empty tuple exists
+  EXPECT_FALSE(fals.Contains(Tuple{}));
+  EXPECT_TRUE(tru.Contains(Tuple{}));
+  EXPECT_FALSE(fals == tru);
+  EXPECT_TRUE(fals == Relation(0));
+  Relation copy = tru;
+  EXPECT_TRUE(copy == tru);
+  EXPECT_FALSE(*copy.Insert(Tuple{}));
+  EXPECT_EQ(copy.size(), 1u);
 }
 
 TEST(RelationTest, SortedRows) {
@@ -113,6 +129,247 @@ TEST(RelationTest, SortedRows) {
   std::vector<Tuple> sorted = r->SortedRows();
   EXPECT_EQ(sorted.front(), Ints({1}));
   EXPECT_EQ(sorted.back(), Ints({3}));
+}
+
+// --- membership against a linear-scan reference ---------------------
+
+/// Draws values that collide often: Int(k) and Double(k) are one value,
+/// NaN equals nothing (so a NaN row never dedups), ∅ and ⊥ equal
+/// themselves only.
+Value RandomValue(std::mt19937_64& rng, int64_t spread) {
+  const int64_t k = static_cast<int64_t>(rng() % spread);
+  switch (rng() % 10) {
+    case 0:
+    case 1:
+    case 2:
+    case 3:
+      return Value::Int(k);
+    case 4:
+    case 5:
+      return Value::Double(static_cast<double>(k));
+    case 6:
+      return Value::Double(static_cast<double>(k) + 0.5);
+    case 7:
+      return Value::String("s" + std::to_string(k));
+    case 8:
+      return rng() % 4 == 0 ? Value::Double(std::nan("")) : Value::Int(-k);
+    default:
+      return rng() % 2 == 0 ? Value::Null() : Value::Mark();
+  }
+}
+
+Tuple RandomTuple(std::mt19937_64& rng, size_t arity, int64_t spread) {
+  std::vector<Value> values;
+  for (size_t i = 0; i < arity; ++i) values.push_back(RandomValue(rng, spread));
+  return Tuple(std::move(values));
+}
+
+bool ReferenceContains(const std::vector<Tuple>& rows, const Tuple& t) {
+  return std::find(rows.begin(), rows.end(), t) != rows.end();
+}
+
+/// Same kinds and renderings, so a NaN row matches itself and Int(2)
+/// does not pass for Double(2.0).
+bool SameRow(const Tuple& a, const Tuple& b) {
+  if (a.arity() != b.arity()) return false;
+  for (size_t i = 0; i < a.arity(); ++i) {
+    if (a.at(i).kind() != b.at(i).kind() ||
+        a.at(i).ToString() != b.at(i).ToString()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Checks `rel` row for row, in insertion order, against `reference`,
+/// and every probe's membership against a linear scan.
+void ExpectMatchesReference(const Relation& rel,
+                            const std::vector<Tuple>& reference,
+                            const std::vector<Tuple>& probes) {
+  ASSERT_EQ(rel.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_TRUE(SameRow(rel.rows()[i], reference[i]))
+        << i << ": " << rel.rows()[i].ToString() << " vs "
+        << reference[i].ToString();
+  }
+  for (const Tuple& t : reference) {
+    EXPECT_EQ(rel.Contains(t), ReferenceContains(reference, t))
+        << t.ToString();
+  }
+  for (const Tuple& t : probes) {
+    EXPECT_EQ(rel.Contains(t), ReferenceContains(reference, t))
+        << t.ToString();
+  }
+}
+
+bool ReferenceEqual(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
+  if (a.size() != b.size()) return false;
+  for (const Tuple& t : a) {
+    if (!ReferenceContains(b, t)) return false;
+  }
+  return true;
+}
+
+TEST(RelationMembershipTest, RandomizedAgainstLinearScan) {
+  std::mt19937_64 rng(20240917);
+  // Sizes straddle the slot table's doublings (8, 16, ... slots at load
+  // one half) up to a few thousand rows.
+  for (size_t target : {0, 1, 3, 4, 5, 8, 9, 31, 33, 64, 65, 500, 2049, 5000}) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    const size_t arity = 1 + target % 3;
+    const int64_t spread =
+        2 + static_cast<int64_t>(std::sqrt(static_cast<double>(target)));
+    Relation rel(arity);
+    std::vector<Tuple> reference;
+    for (size_t attempt = 0; attempt < 2 * target; ++attempt) {
+      Tuple t = RandomTuple(rng, arity, spread);
+      const bool expected = !ReferenceContains(reference, t);
+      Tuple copy = t;
+      auto inserted = rel.Insert(std::move(t));
+      ASSERT_TRUE(inserted.ok());
+      ASSERT_EQ(*inserted, expected) << copy.ToString();
+      if (expected) reference.push_back(std::move(copy));
+      ASSERT_EQ(rel.size(), reference.size());
+    }
+    std::vector<Tuple> probes;
+    for (size_t i = 0; i < 200; ++i) {
+      probes.push_back(RandomTuple(rng, arity, spread + 3));
+    }
+    ExpectMatchesReference(rel, reference, probes);
+
+    // The same rows in another order: equal exactly when the reference
+    // says so (a NaN row makes a relation unequal even to itself).
+    std::vector<Tuple> shuffled = reference;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    Relation other(arity);
+    for (const Tuple& t : shuffled) ASSERT_TRUE(other.Insert(t).ok());
+    EXPECT_EQ(rel == other, ReferenceEqual(reference, shuffled));
+    EXPECT_EQ(rel == rel, ReferenceEqual(reference, reference));
+    if (!reference.empty()) {
+      // Drop one row and add a row the relation lacks: never equal.
+      Relation different(arity);
+      for (size_t i = 1; i < shuffled.size(); ++i) {
+        ASSERT_TRUE(different.Insert(shuffled[i]).ok());
+      }
+      ASSERT_TRUE(different.Insert(Tuple(std::vector<Value>(
+                                       arity, Value::String("absent"))))
+                      .ok());
+      EXPECT_FALSE(rel == different);
+    }
+  }
+}
+
+TEST(RelationMembershipTest, IntAndDoubleCollapseNanNeverDedups) {
+  Relation r(1);
+  EXPECT_TRUE(*r.Insert(Tuple({Value::Int(2)})));
+  EXPECT_FALSE(*r.Insert(Tuple({Value::Double(2.0)})));
+  EXPECT_TRUE(r.Contains(Tuple({Value::Double(2.0)})));
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(*r.Insert(Tuple({nan})));
+  EXPECT_TRUE(*r.Insert(Tuple({nan})));
+  EXPECT_FALSE(r.Contains(Tuple({nan})));
+  EXPECT_TRUE(*r.Insert(Tuple({Value::Null()})));
+  EXPECT_FALSE(*r.Insert(Tuple({Value::Null()})));
+  EXPECT_TRUE(*r.Insert(Tuple({Value::Mark()})));
+  EXPECT_FALSE(*r.Insert(Tuple({Value::Mark()})));
+  EXPECT_TRUE(r.Contains(Tuple({Value::Mark()})));
+  EXPECT_FALSE(r.Contains(Tuple({Value::String("2")})));
+  EXPECT_EQ(r.size(), 5u);
+  EXPECT_EQ(r.rows()[0].at(0).kind(), ValueKind::kInt);  // first one kept
+}
+
+TEST(RelationMembershipTest, CopiesAreIndependent) {
+  // 4 rows fill 8 slots to one half, so the next insert into either side
+  // grows its table; neither may see the other's rows.
+  for (size_t size : {0, 4, 5, 1000}) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    Relation original(2);
+    for (size_t i = 0; i < size; ++i) {
+      ASSERT_TRUE(*original.Insert(Ints({static_cast<int64_t>(i), 7})));
+    }
+    Relation copy = original;
+    Relation assigned(5);
+    assigned = original;
+    EXPECT_EQ(assigned.arity(), 2u);
+    EXPECT_TRUE(copy == original);
+    EXPECT_TRUE(assigned == original);
+
+    EXPECT_TRUE(*copy.Insert(Ints({-1, 0})));
+    EXPECT_TRUE(*assigned.Insert(Ints({-2, 0})));
+    EXPECT_TRUE(*original.Insert(Ints({-3, 0})));
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(copy.Insert(Ints({i, 100})).ok());
+    }
+
+    EXPECT_EQ(original.size(), size + 1);
+    EXPECT_EQ(assigned.size(), size + 1);
+    EXPECT_EQ(copy.size(), size + 101);
+    EXPECT_FALSE(original.Contains(Ints({-1, 0})));
+    EXPECT_FALSE(original.Contains(Ints({-2, 0})));
+    EXPECT_FALSE(original.Contains(Ints({5, 100})));
+    EXPECT_FALSE(copy.Contains(Ints({-3, 0})));
+    EXPECT_FALSE(assigned.Contains(Ints({-3, 0})));
+    EXPECT_FALSE(assigned.Contains(Ints({-1, 0})));
+    EXPECT_TRUE(copy.Contains(Ints({5, 100})));
+    for (size_t i = 0; i < size; ++i) {
+      const Tuple t = Ints({static_cast<int64_t>(i), 7});
+      EXPECT_TRUE(original.Contains(t));
+      EXPECT_TRUE(copy.Contains(t));
+      EXPECT_TRUE(assigned.Contains(t));
+    }
+    EXPECT_FALSE(copy == original);
+  }
+}
+
+TEST(RelationMembershipTest, MovedFromIsEmptyAndUsable) {
+  Relation source(1);
+  for (int64_t i = 0; i < 50; ++i) ASSERT_TRUE(*source.Insert(Ints({i})));
+  Relation moved = std::move(source);
+  EXPECT_EQ(moved.size(), 50u);
+  EXPECT_TRUE(moved.Contains(Ints({49})));
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested.
+  EXPECT_TRUE(source.empty());
+  EXPECT_TRUE(source.rows().empty());
+  EXPECT_FALSE(source.Contains(Ints({0})));
+  EXPECT_TRUE(*source.Insert(Ints({3})));
+  EXPECT_TRUE(source.Contains(Ints({3})));
+  EXPECT_EQ(source.size(), 1u);
+
+  Relation target(1);
+  ASSERT_TRUE(*target.Insert(Ints({-1})));
+  target = std::move(moved);
+  EXPECT_EQ(target.size(), 50u);
+  EXPECT_FALSE(target.Contains(Ints({-1})));
+  EXPECT_TRUE(moved.empty());
+  EXPECT_FALSE(moved.Contains(Ints({49})));
+  EXPECT_TRUE(*moved.Insert(Ints({49})));
+  EXPECT_TRUE(moved.Contains(Ints({49})));
+  EXPECT_FALSE(*moved.Insert(Ints({49})));
+}
+
+TEST(RelationMembershipTest, MatchesPositionsIndexRows) {
+  std::mt19937_64 rng(77);
+  Relation rel(2);
+  ASSERT_TRUE(rel.BuildIndex(0).ok());  // maintained by Insert from here
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(rel.Insert(RandomTuple(rng, 2, 40)).ok());
+  }
+  ASSERT_TRUE(rel.BuildIndex(1).ok());  // built over the existing rows
+  for (size_t column : {0, 1}) {
+    for (int64_t k = -3; k < 45; ++k) {
+      for (const Value& v : {Value::Int(k), Value::Double(k + 0.5),
+                             Value::String("s" + std::to_string(k))}) {
+        size_t expected = 0;
+        for (const Tuple& t : rel.rows()) expected += t.at(column) == v;
+        const std::vector<size_t>& hits = rel.Matches(column, v);
+        EXPECT_EQ(hits.size(), expected) << column << " " << v.ToString();
+        for (size_t pos : hits) {
+          ASSERT_LT(pos, rel.size());
+          EXPECT_EQ(rel.rows()[pos].at(column), v);
+        }
+      }
+    }
+  }
 }
 
 TEST(BuilderTest, Helpers) {
