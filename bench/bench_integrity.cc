@@ -14,7 +14,10 @@
 // Reported: CPU time per step, stored tuples, and RSS growth per stored
 // tuple while copies are held.
 //
-//   ./build/bench/bench_integrity [--json]
+// Every check holds on the generated database; one that errs or reports a
+// violation aborts the run, so a short pass is a smoke test:
+//
+//   ./build/bench/bench_integrity [--json] [--benchmark_min_time=0.01]
 
 #include <malloc.h>
 #include <unistd.h>
@@ -70,13 +73,24 @@ Execution RunPrepared(QueryProcessor* qp, const char* text) {
   return std::move(*exec);
 }
 
+/// RunPrepared for one of kConstraints. The generated database satisfies
+/// every constraint, so a false verdict is a wrong answer.
+Execution RunCheck(QueryProcessor* qp, const char* text) {
+  Execution exec = RunPrepared(qp, text);
+  if (!exec.answer.truth) {
+    std::cerr << "constraint reported violated: " << text << "\n";
+    std::abort();
+  }
+  return exec;
+}
+
 void BM_Check(benchmark::State& state) {
   const char* text = kConstraints[state.range(0)];
   Database db = MakeDb(2000);
   QueryProcessor qp(&db);
-  Execution exec = RunPrepared(&qp, text);
+  Execution exec = RunCheck(&qp, text);
   for (auto _ : state) {
-    exec = RunPrepared(&qp, text);
+    exec = RunCheck(&qp, text);
     benchmark::DoNotOptimize(exec.answer.truth);
   }
   state.SetLabel("c" + std::to_string(state.range(0) + 1));
@@ -88,11 +102,11 @@ void BM_AllChecks(benchmark::State& state) {
   Database db = MakeDb(2000);
   QueryProcessor qp(&db);
   ExecStats total;
-  for (const char* text : kConstraints) RunPrepared(&qp, text);
+  for (const char* text : kConstraints) RunCheck(&qp, text);
   for (auto _ : state) {
     total = ExecStats();
     for (const char* text : kConstraints) {
-      Execution exec = RunPrepared(&qp, text);
+      Execution exec = RunCheck(&qp, text);
       benchmark::DoNotOptimize(exec.answer.truth);
       total.Add(exec.stats);
     }

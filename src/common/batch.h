@@ -2,7 +2,6 @@
 #define BRYQL_COMMON_BATCH_H_
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -28,6 +27,9 @@ inline constexpr size_t kDefaultBatchSize = 1024;
 /// a warm slot reuses its allocation, so a steady-state batch pipeline
 /// performs no per-tuple allocations — the same property the volcano
 /// engine gets from copy-assigning into one long-lived Tuple buffer.
+/// Between operators a row changes hands by std::swap rather than by
+/// copy: the consumer's warm tuple goes back into the slot, so the next
+/// refill writes into storage that is already there.
 class TupleBatch {
  public:
   explicit TupleBatch(size_t capacity = kDefaultBatchSize)
@@ -47,15 +49,18 @@ class TupleBatch {
   /// Logical reset; slots (and their storage) stay warm for reuse.
   void Clear() { size_ = 0; }
 
-  /// The next recycled output slot. Prefer `*AddSlot() = tuple` (copy
-  /// assignment) over Add(Tuple) when the source tuple outlives the call:
-  /// assignment reuses the slot's storage, a move discards it.
+  /// The next recycled output slot. Fill it in place: copy-assign a row
+  /// that must stay where it is, swap in one that is passed on, or build
+  /// the row in it. Moving a tuple into it would discard its storage.
   Tuple* AddSlot() {
     if (size_ == tuples_.size()) tuples_.emplace_back();
     return &tuples_[size_++];
   }
 
-  void Add(Tuple tuple) { *AddSlot() = std::move(tuple); }
+  /// Gives back the slot the last AddSlot() returned, e.g. when the row
+  /// built in it turns out to be a duplicate. Its storage stays warm for
+  /// the next AddSlot().
+  void PopSlot() { --size_; }
 
   const Tuple& operator[](size_t i) const { return tuples_[i]; }
   Tuple& operator[](size_t i) { return tuples_[i]; }

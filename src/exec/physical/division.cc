@@ -25,7 +25,7 @@ Status DivisionOp::Open() {
   for (size_t i = p - q; i < p; ++i) suffix_cols.push_back(i);
   std::unordered_map<Tuple, TupleSet, TupleHash> groups;
   BatchCursor cursor(left_.get());
-  Tuple t;  // reused across pulls; the cursor copy-assigns into it
+  Tuple t;  // reused across pulls; the cursor swaps each row into it
   while (true) {
     bool have = false;
     BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
@@ -72,7 +72,7 @@ Status GroupDivisionOp::Open() {
   std::unordered_map<Tuple, TupleSet, TupleHash> divisor_groups;
   {
     BatchCursor cursor(right_.get());
-    Tuple t;  // reused across pulls; the cursor copy-assigns into it
+    Tuple t;  // reused across pulls; the cursor swaps each row into it
     while (true) {
       bool have = false;
       BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
@@ -89,7 +89,7 @@ Status GroupDivisionOp::Open() {
   std::unordered_map<Tuple, TupleSet, TupleHash> matched;
   {
     BatchCursor cursor(left_.get());
-    Tuple t;  // reused across pulls; the cursor copy-assigns into it
+    Tuple t;  // reused across pulls; the cursor swaps each row into it
     while (true) {
       bool have = false;
       BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));
@@ -128,7 +128,7 @@ Status GroupCountOp::Open() {
   for (size_t i = 0; i < g; ++i) group_cols.push_back(i);
   std::unordered_map<Tuple, int64_t, TupleHash> counts;
   BatchCursor cursor(child_.get());
-  Tuple t;  // reused across pulls; the cursor copy-assigns into it
+  Tuple t;  // reused across pulls; the cursor swaps each row into it
   while (true) {
     bool have = false;
     BRYQL_RETURN_NOT_OK(cursor.Next(&t, &have, ctx_.batch_size));

@@ -1,5 +1,7 @@
 #include "exec/physical/filter.h"
 
+#include <utility>
+
 #include "exec/physical/parallel.h"
 
 namespace bryql {
@@ -17,9 +19,9 @@ Status FilterOp::NextBatch(TupleBatch* out) {
       Tuple& t = in_[pos_++];
       if (!ctx_.governor->Tick()) return ctx_.governor->status();
       if (predicate_->Eval(t, &ctx_.stats->comparisons)) {
-        // Copy, not move: both the input slot and the output slot keep
-        // their storage warm.
-        *out->AddSlot() = t;
+        // Swap, not copy: the input slot takes the output slot's old row,
+        // so both keep their storage warm for the next refill.
+        std::swap(*out->AddSlot(), t);
       }
     }
   }
@@ -36,16 +38,23 @@ Status ProjectOp::NextBatch(TupleBatch* out) {
       pos_ = 0;
     }
     while (pos_ < in_.size() && !out->full()) {
-      Tuple projected = in_[pos_++].Project(columns_);
+      // Project straight into the next output slot; a duplicate gives the
+      // slot back, so only fresh rows stay visible in `out`.
+      const Tuple& in = in_[pos_++];
+      Tuple* projected = out->AddSlot();
+      projected->Clear();
+      for (size_t column : columns_) projected->Append(in.at(column));
       const bool fresh = shared_seen_ != nullptr
-                             ? shared_seen_->Insert(projected)
-                             : seen_.insert(projected).second;
-      if (fresh) {
-        if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
-        ++ctx_.stats->tuples_materialized;
-        out->Add(std::move(projected));
-      } else if (!ctx_.governor->Tick()) {
+                             ? shared_seen_->Insert(*projected)
+                             : seen_.insert(*projected).second;
+      if (!fresh) {
+        out->PopSlot();
+        if (!ctx_.governor->Tick()) return ctx_.governor->status();
+      } else if (!ctx_.governor->AdmitMaterialize()) {
+        out->PopSlot();
         return ctx_.governor->status();
+      } else {
+        ++ctx_.stats->tuples_materialized;
       }
     }
   }

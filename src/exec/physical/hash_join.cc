@@ -1,5 +1,7 @@
 #include "exec/physical/hash_join.h"
 
+#include <utility>
+
 #include "exec/physical/parallel.h"
 
 namespace bryql {
@@ -27,7 +29,8 @@ Status ProductOp::NextBatch(TupleBatch* out) {
       }
     }
     if (right_index_ < right_view_->rows().size()) {
-      out->Add(current_left_.Concat(right_view_->rows()[right_index_++]));
+      ConcatInto(current_left_, right_view_->rows()[right_index_++],
+                 out->AddSlot());
       if (right_index_ == right_view_->rows().size()) right_index_ = 0;
       continue;
     }
@@ -107,11 +110,17 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
     if (matches_ != nullptr && match_index_ < matches_->size()) {
       const Tuple& partner = (*matches_)[match_index_++];
       // Output columns are always left ++ right, whichever side built.
-      Tuple candidate = build_left_ ? partner.Concat(current_probe_)
-                                    : current_probe_.Concat(partner);
-      if (predicate_ == nullptr ||
-          predicate_->Eval(candidate, &ctx_.stats->comparisons)) {
-        out->Add(std::move(candidate));
+      // The candidate is built in the next output slot and given back if
+      // the residual rejects it.
+      Tuple* candidate = out->AddSlot();
+      if (build_left_) {
+        ConcatInto(partner, current_probe_, candidate);
+      } else {
+        ConcatInto(current_probe_, partner, candidate);
+      }
+      if (predicate_ != nullptr &&
+          !predicate_->Eval(*candidate, &ctx_.stats->comparisons)) {
+        out->PopSlot();
       }
       continue;
     }
@@ -125,8 +134,8 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
     }
     ++ctx_.stats->hash_probes;
     ctx_.stats->comparisons += keys_.size();
-    const std::vector<Tuple>* found = FindMatches(
-        JoinKeyOf(current_probe_, keys_, /*left=*/!build_left_));
+    JoinKeyInto(current_probe_, keys_, /*left=*/!build_left_, &probe_key_);
+    const std::vector<Tuple>* found = FindMatches(probe_key_);
     if (found != nullptr) {
       matches_ = found;
       match_index_ = 0;
@@ -146,10 +155,10 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
     }
     ++ctx_.stats->hash_probes;
     ctx_.stats->comparisons += keys_.size();
-    bool found =
-        ContainsKey(JoinKeyOf(current_probe_, keys_, /*left=*/true));
-    if (found != (variant_ == JoinVariant::kAnti)) {
-      *out->AddSlot() = current_probe_;
+    JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
+    if (ContainsKey(probe_key_) != (variant_ == JoinVariant::kAnti)) {
+      // The probe row is not needed again: swap it out, no copy.
+      std::swap(*out->AddSlot(), current_probe_);
     }
   }
   return Status::Ok();
@@ -158,7 +167,7 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
 Status HashJoinOp::NextOuter(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
     if (matches_ != nullptr && match_index_ < matches_->size()) {
-      out->Add(current_probe_.Concat((*matches_)[match_index_++]));
+      ConcatInto(current_probe_, (*matches_)[match_index_++], out->AddSlot());
       continue;
     }
     matches_ = nullptr;
@@ -173,19 +182,19 @@ Status HashJoinOp::NextOuter(TupleBatch* out) {
     // directly with ∅.
     if (predicate_ != nullptr &&
         !predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
-      out->Add(PadWithNulls(current_probe_));
+      EmitPadded(out);
       continue;
     }
     ++ctx_.stats->hash_probes;
     ctx_.stats->comparisons += keys_.size();
-    const std::vector<Tuple>* found =
-        FindMatches(JoinKeyOf(current_probe_, keys_, /*left=*/true));
+    JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
+    const std::vector<Tuple>* found = FindMatches(probe_key_);
     if (found != nullptr) {
       matches_ = found;
       match_index_ = 0;
       continue;
     }
-    out->Add(PadWithNulls(current_probe_));
+    EmitPadded(out);
   }
   return Status::Ok();
 }
@@ -204,18 +213,21 @@ Status HashJoinOp::NextMark(TupleBatch* out) {
         predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
       ++ctx_.stats->hash_probes;
       ctx_.stats->comparisons += keys_.size();
-      marked = ContainsKey(JoinKeyOf(current_probe_, keys_, /*left=*/true));
+      JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
+      marked = ContainsKey(probe_key_);
     }
-    current_probe_.Append(marked ? Value::Mark() : Value::Null());
-    *out->AddSlot() = current_probe_;
+    Tuple* slot = out->AddSlot();
+    std::swap(*slot, current_probe_);
+    slot->Append(marked ? Value::Mark() : Value::Null());
   }
   return Status::Ok();
 }
 
-Tuple HashJoinOp::PadWithNulls(const Tuple& t) const {
-  Tuple padded = t;
-  for (size_t i = 0; i < pad_arity_; ++i) padded.Append(Value::Null());
-  return padded;
+void HashJoinOp::EmitPadded(TupleBatch* out) {
+  // A padded probe row has no partner to pair with later: swap it out.
+  Tuple* slot = out->AddSlot();
+  std::swap(*slot, current_probe_);
+  for (size_t i = 0; i < pad_arity_; ++i) slot->Append(Value::Null());
 }
 
 }  // namespace bryql

@@ -88,7 +88,8 @@ class HashJoinOp : public PhysicalOperator {
   Status NextSemiAnti(TupleBatch* out);
   Status NextOuter(TupleBatch* out);
   Status NextMark(TupleBatch* out);
-  Tuple PadWithNulls(const Tuple& t) const;
+  /// Moves the partnerless probe row into `out`, padded with ∅.
+  void EmitPadded(TupleBatch* out);
   const std::vector<Tuple>* FindMatches(const Tuple& key) const;
   bool ContainsKey(const Tuple& key) const;
 
@@ -106,6 +107,7 @@ class HashJoinOp : public PhysicalOperator {
   TupleMultiMap table_;   // kInner, kLeftOuter
   TupleSet key_set_;      // kSemi, kAnti, kMark
   Tuple current_probe_;
+  Tuple probe_key_;  // reused: the probe key of current_probe_
   const std::vector<Tuple>* matches_ = nullptr;
   size_t match_index_ = 0;
   bool probe_done_ = false;

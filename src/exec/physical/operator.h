@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "algebra/expr.h"  // JoinKey
@@ -79,9 +80,30 @@ inline Tuple JoinKeyOf(const Tuple& t, const std::vector<JoinKey>& keys,
   return Tuple(std::move(values));
 }
 
+/// JoinKeyOf into a reused tuple: a probe key built per probe row keeps
+/// its storage, where JoinKeyOf allocates a fresh one every time.
+inline void JoinKeyInto(const Tuple& t, const std::vector<JoinKey>& keys,
+                        bool left, Tuple* key) {
+  key->Clear();
+  for (const JoinKey& k : keys) key->Append(t.at(left ? k.left : k.right));
+}
+
+/// (a, b) written into `out`, reusing its storage — the in-place form of
+/// Tuple::Concat for warm batch slots.
+inline void ConcatInto(const Tuple& a, const Tuple& b, Tuple* out) {
+  out->Clear();
+  for (const Value& v : a.values()) out->Append(v);
+  for (const Value& v : b.values()) out->Append(v);
+}
+
 /// Adapts a batched child to one-tuple-at-a-time pulls, buffering one
 /// batch internally. `capacity` is forwarded to the child per refill, so a
 /// capacity-1 consumer induces capacity-1 pulls all the way down.
+///
+/// Next() swaps the row into `*out`: the caller owns it from then on, and
+/// it survives any later refill, which writes over the tuple the caller
+/// gave back. The caller's buffer should be long-lived (a member, not a
+/// per-call local), so the tuple it hands back keeps warm storage.
 class BatchCursor {
  public:
   explicit BatchCursor(PhysicalOperator* child) : child_(child), buf_(1) {}
@@ -97,10 +119,9 @@ class BatchCursor {
         return Status::Ok();
       }
     }
-    // Copy-assign, not move: the slot keeps its storage for the next
-    // refill and `*out` (a long-lived caller buffer) reuses its own, so
-    // the steady-state pull is allocation-free.
-    *out = buf_[pos_++];
+    // Swap, not copy: no value is copied, and the slot gets the caller's
+    // previous row, whose storage the next refill reuses.
+    std::swap(*out, buf_[pos_++]);
     *have = true;
     return Status::Ok();
   }

@@ -75,7 +75,7 @@ Status ProbeJoinOp::NextBatch(TupleBatch* out) {
     }
     ++ctx_.stats->hash_probes;
     ctx_.stats->comparisons += num_keys_;
-    if (HasPartner(current_) != anti_) *out->AddSlot() = current_;
+    if (HasPartner(current_) != anti_) std::swap(*out->AddSlot(), current_);
   }
   return Status::Ok();
 }

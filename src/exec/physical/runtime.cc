@@ -38,12 +38,18 @@ uint64_t NowNs() {
 /// would terminate the process). It holds an *index* into the stats
 /// vector, not a pointer — the vector grows while the plan is being
 /// instantiated.
+///
+/// Clocking rule: Open and every NextBatch of a plan root (depth 0) are
+/// timed, and so is any pull asking for more than one row. A capacity-1
+/// pull below the root — the first-witness test reading its probe side
+/// row by row — is only counted: two clock reads cost more than the row
+/// it moves, and its time is already inside the root's clock.
 class TimedOp : public PhysicalOperator {
  public:
   TimedOp(PhysicalOpPtr inner, std::string label, ExecStats* stats,
-          size_t index, ResourceGovernor* governor)
+          size_t index, size_t depth, ResourceGovernor* governor)
       : inner_(std::move(inner)), label_(std::move(label)), stats_(stats),
-        index_(index), governor_(governor) {}
+        index_(index), is_root_(depth == 0), governor_(governor) {}
   Status Open() override {
     const uint64_t start = NowNs();
     Status status = Guarded([&] {
@@ -54,13 +60,18 @@ class TimedOp : public PhysicalOperator {
     return status;
   }
   Status NextBatch(TupleBatch* out) override {
-    const uint64_t start = NowNs();
+    const bool clocked = is_root_ || out->capacity() > 1;
+    const uint64_t start = clocked ? NowNs() : 0;
     Status status = Guarded([&] {
       BRYQL_FAILPOINT_THROW("exec.physical.throw");
       return inner_->NextBatch(out);
     });
     OperatorStats& os = stats_->operator_stats[index_];
-    os.next_ns += NowNs() - start;
+    if (clocked) {
+      os.next_ns += NowNs() - start;
+    } else {
+      ++os.unclocked_batches;
+    }
     ++os.batches;
     os.rows += out->size();
     return status;
@@ -99,6 +110,7 @@ class TimedOp : public PhysicalOperator {
   std::string label_;
   ExecStats* stats_;
   size_t index_;
+  bool is_root_;
   ResourceGovernor* governor_;
 };
 
@@ -116,7 +128,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   ++ctx_.stats->operators;
   const size_t op_index = ctx_.stats->operator_stats.size();
   ctx_.stats->operator_stats.push_back(
-      OperatorStats{node->Label(), depth, 0, 0, 0, 0});
+      OperatorStats{node->Label(), depth});
 
   PhysicalOpPtr op;
   // Parallel workers: a node the coordinator already materialized (a
@@ -128,7 +140,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       op = PhysicalOpPtr(new BorrowedRelationScanOp(
           &rel->rows(), ctx_.shared->FindMorsels(node.get())));
       return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(),
-                                       ctx_.stats, op_index, ctx_.governor));
+                                       ctx_.stats, op_index, depth,
+                                       ctx_.governor));
     }
   }
   // In serial runs every Find* below is a null `shared` short-circuit;
@@ -341,7 +354,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   }
   if (op == nullptr) return Status::Internal("unknown physical kind");
   return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(), ctx_.stats,
-                                   op_index, ctx_.governor));
+                                   op_index, depth, ctx_.governor));
 }
 
 Result<Relation> PlanRuntime::Run(const PhysicalPlanPtr& plan) {

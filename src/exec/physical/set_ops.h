@@ -41,6 +41,7 @@ class UnionOp : public PhysicalOperator {
   PhysicalContext ctx_;
   ShardedTupleSet* shared_seen_;
   bool on_left_ = true;
+  Tuple current_;  // the cursors swap each row into it
   TupleSet seen_;
 };
 

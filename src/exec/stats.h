@@ -24,8 +24,13 @@ struct OperatorStats {
   size_t rows = 0;
   /// Wall time inside Open(), inclusive of children.
   uint64_t open_ns = 0;
-  /// Wall time inside NextBatch(), inclusive of children.
+  /// Wall time inside clocked NextBatch() calls, inclusive of children.
   uint64_t next_ns = 0;
+  /// NextBatch calls left off the clock: capacity-1 pulls below the plan
+  /// root. One clock read costs more than the row such a pull moves, so
+  /// their time is counted only in an ancestor's `next_ns` (the root is
+  /// always clocked). Still counted in `batches` and `rows`.
+  size_t unclocked_batches = 0;
 };
 
 /// Instrumentation counters for one or more evaluations. These are the
@@ -92,6 +97,8 @@ struct ExecStats {
   /// EXPLAIN ANALYZE-style multi-line report: the global counters followed
   /// by one line per physical operator with batch/row counters and timing
   /// (times are inclusive of children, like the classic EXPLAIN ANALYZE).
+  /// An operator pulled one row at a time below the root adds
+  /// "unclocked=N (in parent)": those N pulls' time is in its ancestors'.
   std::string Report() const {
     std::string out = ToString();
     for (const OperatorStats& op : operator_stats) {
@@ -101,6 +108,10 @@ struct ExecStats {
              " rows=" + std::to_string(op.rows) +
              " open=" + FormatNs(op.open_ns) +
              " next=" + FormatNs(op.next_ns);
+      if (op.unclocked_batches != 0) {
+        out += " unclocked=" + std::to_string(op.unclocked_batches) +
+               " (in parent)";
+      }
     }
     return out;
   }

@@ -44,7 +44,27 @@ void UpdateZone(ZoneMap* zone, const Value& v) {
   }
 }
 
+/// `*to = from`, with at least `from`'s capacity.
+template <typename T>
+void CopyWithCapacity(const std::vector<T>& from, std::vector<T>* to) {
+  to->reserve(from.capacity());
+  *to = from;
+}
+
 }  // namespace
+
+ColumnStore::ColumnStore(const ColumnStore& other)
+    : columns_(other.columns_.size()), rows_(other.rows_) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Column& from = other.columns_[c];
+    Column& to = columns_[c];
+    CopyWithCapacity(from.kinds, &to.kinds);
+    CopyWithCapacity(from.data, &to.data);
+    CopyWithCapacity(from.dict, &to.dict);
+    to.dict_codes = from.dict_codes;
+    CopyWithCapacity(from.zones, &to.zones);
+  }
+}
 
 void ColumnStore::Append(const Tuple& tuple) {
   const size_t seg = rows_ / kSegmentRows;

@@ -56,6 +56,10 @@ struct ZoneMap {
 class ColumnStore {
  public:
   explicit ColumnStore(size_t arity) : columns_(arity) {}
+  /// A copy keeps the source's spare capacity in every per-row array, so
+  /// the first Append into a copied store does not reallocate them whole.
+  ColumnStore(const ColumnStore& other);
+  ColumnStore& operator=(const ColumnStore&) = delete;
 
   /// Appends one row. The caller (Relation) guarantees the arity matches
   /// and the tuple is not a duplicate.

@@ -162,6 +162,19 @@ Result<Database> LoadDatabase(const std::string& directory) {
                                                ".csv"));
     size_t expected_arity = std::strtoul(fields[1].c_str(), nullptr, 10);
     size_t expected_size = std::strtoul(fields[2].c_str(), nullptr, 10);
+    if (expected_arity == 0 && rel.empty()) {
+      // {()} is saved as one empty line, which the reader skips as blank:
+      // an arity-0 relation is {} or {()}, told apart by the manifest.
+      if (expected_size > 1) {
+        return Status::InvalidArgument(
+            "relation '" + name + "' has arity 0, manifest says " +
+            std::to_string(expected_size) + " tuples (at most 1)");
+      }
+      rel = Relation(0);
+      if (expected_size == 1) {
+        BRYQL_RETURN_NOT_OK(rel.Insert(Tuple{}).status());
+      }
+    }
     if (!rel.empty() && rel.arity() != expected_arity) {
       return Status::InvalidArgument(
           "relation '" + name + "' has arity " +

@@ -6,22 +6,20 @@ namespace bryql {
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
-      rows_(other.rows_),
       slots_(other.slots_),
       column_indexes_(other.column_indexes_),
       columnar_(other.columnar_
                     ? std::make_unique<ColumnStore>(*other.columnar_)
-                    : nullptr) {}
+                    : nullptr) {
+  // Keep the source's spare capacity: a commit copies a relation and then
+  // inserts into the copy, and an exactly sized copy would reallocate
+  // its whole row vector on the first Insert.
+  rows_.reserve(other.rows_.capacity());
+  rows_ = other.rows_;
+}
 
 Relation& Relation::operator=(const Relation& other) {
-  if (this == &other) return *this;
-  arity_ = other.arity_;
-  rows_ = other.rows_;
-  slots_ = other.slots_;
-  column_indexes_ = other.column_indexes_;
-  columnar_ = other.columnar_
-                  ? std::make_unique<ColumnStore>(*other.columnar_)
-                  : nullptr;
+  if (this != &other) *this = Relation(other);
   return *this;
 }
 

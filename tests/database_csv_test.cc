@@ -228,6 +228,50 @@ TEST(PersistenceTest, EmptyRelationKeepsArity) {
   EXPECT_TRUE((*loaded->Get("empty3"))->empty());
 }
 
+// Arity 0 encodes a truth value: {} is false, {()} true. Neither has a
+// cell to write, so both must come back from the manifest alone.
+TEST(PersistenceTest, NullaryFalseSurvivesSaveAndLoad) {
+  Database db;
+  db.Put("f", Relation(0));
+  std::string dir = ::testing::TempDir() + "/bryql_persist_nullary_false";
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  auto loaded = LoadDatabase(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded->ArityOf("f"), 0u);
+  EXPECT_TRUE((*loaded->Get("f"))->empty());
+}
+
+TEST(PersistenceTest, NullaryTrueSurvivesSaveAndLoad) {
+  Database db;
+  Relation t(0);
+  ASSERT_TRUE(*t.Insert(Tuple{}));
+  db.Put("t", std::move(t));
+  db.Put("p", UnaryStrings({"a"}));
+  std::string dir = ::testing::TempDir() + "/bryql_persist_nullary_true";
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  auto loaded = LoadDatabase(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Relation& back = **loaded->Get("t");
+  EXPECT_EQ(back.arity(), 0u);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_TRUE(back.Contains(Tuple{}));
+  EXPECT_EQ(*(*loaded->Get("p")), *(*db.Get("p")));
+}
+
+TEST(PersistenceTest, NullaryWithTwoTuplesRejected) {
+  Database db;
+  db.Put("t", Relation(0));
+  std::string dir = ::testing::TempDir() + "/bryql_persist_nullary_bad";
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  {
+    std::ofstream manifest(dir + "/MANIFEST");
+    manifest << "t,0,2\n";
+  }
+  auto r = LoadDatabase(dir);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PersistenceTest, MissingManifestIsNotFound) {
   auto r = LoadDatabase("/nonexistent/dir");
   EXPECT_FALSE(r.ok());

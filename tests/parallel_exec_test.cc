@@ -4,9 +4,11 @@
 // must produce identical answers at num_threads ∈ {1, 2, 8} and serial,
 // with identical Status verdicts under tuple budgets, deadlines and
 // cancellation. The probe-join differential runs here at 2 and 8
-// workers. Also covers concurrent QueryProcessor use: many threads
-// sharing one processor (and so one plan cache) must never race or lose
-// counter increments; scripts/check.sh runs this binary under TSan.
+// workers. The operator-statistics contract (which pulls are clocked,
+// which only counted) is checked serially and at 2 workers. Also covers
+// concurrent QueryProcessor use: many threads sharing one processor (and
+// so one plan cache) must never race or lose counter increments;
+// scripts/check.sh runs this binary under TSan.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +22,9 @@
 #include "common/governor.h"
 #include "common/thread_pool.h"
 #include "core/query_processor.h"
+#include "exec/executor.h"
 #include "exec/physical/parallel.h"
+#include "exec/stats.h"
 #include "probe_join_cases.h"
 #include "workload/university.h"
 
@@ -307,6 +311,155 @@ TEST(ParallelProbeJoinTest, MatchesOracleAndHashTwinAtEveryDegree) {
 
 TEST(ParallelProbeJoinTest, IndexLessReplacementFallsBackToTheHashJoin) {
   probe_join_cases::ExpectStaleIndexFallsBack(/*threads=*/2);
+}
+
+// ---------------------------------------------------------------------
+// Operator statistics contract. A ∀ check that holds has no witness, so
+// its probe side is read whole through capacity-1 pulls. Those pulls are
+// counted but not clocked below the plan root; every root (a worker's
+// spine root included) is clocked. None of it may move a work counter.
+
+/// Sums of the operator lines labelled `label` (one per worker in a
+/// parallel run).
+struct OperatorTotals {
+  size_t instances = 0;
+  size_t batches = 0;
+  size_t rows = 0;
+  size_t unclocked = 0;
+  uint64_t next_ns = 0;
+};
+
+OperatorTotals TotalsOf(const ExecStats& stats, const std::string& label) {
+  OperatorTotals totals;
+  for (const OperatorStats& op : stats.operator_stats) {
+    if (op.label != label) continue;
+    ++totals.instances;
+    totals.batches += op.batches;
+    totals.rows += op.rows;
+    totals.unclocked += op.unclocked_batches;
+    totals.next_ns += op.next_ns;
+  }
+  return totals;
+}
+
+/// What holds of every operator line: roots are always clocked, and an
+/// operator none of whose pulls was clocked reports no pull time.
+void ExpectClockingRule(const ExecStats& stats, const std::string& label) {
+  for (const OperatorStats& op : stats.operator_stats) {
+    SCOPED_TRACE(label + ": " + op.label);
+    EXPECT_LE(op.unclocked_batches, op.batches);
+    if (op.depth == 0) {
+      EXPECT_EQ(op.unclocked_batches, 0u);
+      if (op.batches != 0) {
+        EXPECT_GT(op.next_ns, 0u);
+      }
+    } else if (op.unclocked_batches == op.batches) {
+      EXPECT_EQ(op.next_ns, 0u);
+    }
+  }
+}
+
+TEST(OperatorStatsContractTest, ForallCheckClocksRootsAndCountsEveryPull) {
+  Database db = MakeUniversity(SmallConfig(1));
+  QueryProcessor qp(&db);
+  const char* check = "forall x y: attends(x, y) -> student(x)";
+  const size_t attends = (*db.Get("attends"))->size();
+  ASSERT_GT(attends, 0u);
+
+  for (size_t threads : {0u, 2u}) {
+    std::string counters_at_batch_1;
+    for (size_t batch_size : {1u, 1024u}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " batch=" + std::to_string(batch_size);
+      ExecOptions exec_options;
+      exec_options.batch_size = batch_size;
+      qp.SetExecOptions(exec_options);
+      auto run = qp.Run(check, Strategy::kBry, WithThreads(threads));
+      ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+      ASSERT_TRUE(run->answer.truth) << label;
+      const ExecStats& stats = run->stats;
+      ExpectClockingRule(stats, label);
+
+      // The root probe join (one per worker): a single witness pull.
+      const OperatorTotals root = TotalsOf(
+          stats, "ProbeJoin(anti, student, contains, keys=[0=0])");
+      ASSERT_GE(root.instances, 1u) << label << "\n" << stats.Report();
+      EXPECT_EQ(root.batches, root.instances) << label;
+      EXPECT_EQ(root.rows, 0u) << label;
+      EXPECT_EQ(root.unclocked, 0u) << label;
+
+      // The probe side: every row, one capacity-1 pull each plus one
+      // final empty pull per instance, none of them clocked.
+      const OperatorTotals scan = TotalsOf(stats, "TableScan attends");
+      ASSERT_EQ(scan.instances, root.instances) << label;
+      EXPECT_EQ(scan.rows, attends) << label;
+      EXPECT_EQ(scan.batches, attends + scan.instances) << label;
+      EXPECT_EQ(scan.unclocked, scan.batches) << label;
+      EXPECT_EQ(scan.next_ns, 0u) << label;
+
+      // Work counters do not depend on the batch size.
+      if (batch_size == 1) {
+        counters_at_batch_1 = stats.ToString();
+      } else {
+        EXPECT_EQ(stats.ToString(), counters_at_batch_1) << label;
+      }
+    }
+  }
+}
+
+TEST(OperatorStatsContractTest, InnerOperatorsOfAWitnessPullAreCounted) {
+  // Root Filter over Project over an inner HashJoin: the join, the
+  // projection and the probe scan all move capacity-1 pulls, while the
+  // build side is drained at the configured batch size (clocked when
+  // that is more than one row).
+  Database db = MakeUniversity(SmallConfig(1));
+  QueryProcessor qp(&db);
+  const char* check =
+      "forall x d1 d2: (enrolled(x, d1) & enrolled(x, d2)) -> d1 = d2";
+  const size_t enrolled = (*db.Get("enrolled"))->size();
+
+  std::string counters_at_batch_1;
+  for (size_t batch_size : {1u, 1024u}) {
+    const std::string label = "batch=" + std::to_string(batch_size);
+    ExecOptions exec_options;
+    exec_options.batch_size = batch_size;
+    qp.SetExecOptions(exec_options);
+    auto run = qp.Run(check, Strategy::kBry);
+    ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+    ASSERT_TRUE(run->answer.truth) << label;
+    const ExecStats& stats = run->stats;
+    ExpectClockingRule(stats, label);
+    ASSERT_EQ(stats.operator_stats.size(), 5u) << stats.Report();
+
+    const OperatorStats& root = stats.operator_stats[0];
+    EXPECT_EQ(root.depth, 0u);
+    EXPECT_EQ(root.batches, 1u) << label;
+    // Project, HashJoin and the probe scan: one pull per joined row and
+    // a final empty one, all unclocked.
+    const size_t joined = stats.operator_stats[1].rows;
+    EXPECT_GE(joined, enrolled) << label;  // every row joins itself
+    for (size_t i = 1; i <= 3; ++i) {
+      const OperatorStats& op = stats.operator_stats[i];
+      SCOPED_TRACE(label + ": " + op.label);
+      EXPECT_EQ(op.depth, i);
+      EXPECT_EQ(op.unclocked_batches, op.batches);
+      EXPECT_EQ(op.next_ns, 0u);
+    }
+    EXPECT_EQ(stats.operator_stats[2].rows, joined) << label;
+    EXPECT_EQ(stats.operator_stats[2].batches, joined + 1) << label;
+    EXPECT_EQ(stats.operator_stats[3].rows, enrolled) << label;
+    EXPECT_EQ(stats.operator_stats[3].batches, enrolled + 1) << label;
+    // The build scan: all rows, in batch_size pulls.
+    const OperatorStats& build = stats.operator_stats[4];
+    EXPECT_EQ(build.rows, enrolled) << label;
+    if (batch_size == 1) {
+      EXPECT_EQ(build.unclocked_batches, build.batches) << label;
+      counters_at_batch_1 = stats.ToString();
+    } else {
+      EXPECT_EQ(build.unclocked_batches, 0u) << label;
+      EXPECT_EQ(stats.ToString(), counters_at_batch_1) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
