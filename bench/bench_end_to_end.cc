@@ -3,6 +3,16 @@
 // strategies. The headline shape: bry ≥ every baseline everywhere, the
 // classical reduction degrades fastest, nested loops pay per-tuple probe
 // costs that the algebra amortizes.
+//
+// Each bry case first checks its answer against the nested-loop answer,
+// once, outside the timed loop, and aborts on a mismatch. The five shapes
+// lower to every hash join the translator produces (inner with and
+// without keys and on either build side, semi, anti, mark) plus union and
+// projection dedup, so one short pass is a smoke test of the batched
+// engine's hash tables in an optimized build:
+//
+//   ./build/bench/bench_end_to_end --benchmark_filter=BM_EndToEnd_Bry
+//       --benchmark_min_time=0.01
 
 #include "bench/bench_util.h"
 
@@ -37,6 +47,22 @@ Database MakeDb(size_t students) {
   return MakeUniversity(config);
 }
 
+/// Aborts unless bry and the nested loop give `w` the same answer.
+void CheckAgainstNestedLoop(const Database& db, const Workload& w,
+                            size_t scale) {
+  const Execution bry = bench::RunStrategy(db, w.text, Strategy::kBry);
+  const Execution oracle =
+      bench::RunStrategy(db, w.text, Strategy::kNestedLoop);
+  const bool same = bry.answer.closed
+                        ? bry.answer.truth == oracle.answer.truth
+                        : bry.answer.relation == oracle.answer.relation;
+  if (!same) {
+    std::cerr << w.name << " at " << scale
+              << " students: bry disagrees with the nested loop\n";
+    std::abort();
+  }
+}
+
 void RunCase(benchmark::State& state, Strategy strategy) {
   const Workload& w = kWorkloads[state.range(1)];
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
@@ -47,6 +73,9 @@ void RunCase(benchmark::State& state, Strategy strategy) {
        std::string(w.name) == "nested-exists")) {
     state.SkipWithError("classical reduction intractable at this scale");
     return;
+  }
+  if (strategy == Strategy::kBry) {
+    CheckAgainstNestedLoop(db, w, static_cast<size_t>(state.range(0)));
   }
   Execution exec;
   for (auto _ : state) {

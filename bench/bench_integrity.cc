@@ -14,6 +14,13 @@
 // Reported: CPU time per step, stored tuples, and RSS growth per stored
 // tuple while copies are held.
 //
+// The hash-table block prices the engine's TupleTable on the relations
+// c3 and the attends checks hash at 2000 students, `enrolled` (2000 rows)
+// and `attends` (~12k rows): a join build keyed on the student column, a
+// probe of every row against it (walking all partners), and a
+// three-column dedup of each row joined with itself, as c3's Project
+// does. Reported: CPU time per row (`per_row`).
+//
 // Every check holds on the generated database; one that errs or reports a
 // violation aborts the run, so a short pass is a smoke test:
 //
@@ -29,6 +36,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "exec/physical/tuple_table.h"
 
 namespace bryql {
 namespace {
@@ -123,6 +131,68 @@ void BM_E9Universal(benchmark::State& state) {
     benchmark::DoNotOptimize(exec.answer.relation);
   }
   bench::ReportStats(state, exec.stats, bench::AnswerSize(exec));
+}
+
+// --- hash tables: the engine's TupleTable -----------------------------
+
+constexpr const char* kHashed[] = {"enrolled", "attends"};
+
+/// The rows of kHashed[state.range(0)] in the E17 database.
+const std::vector<Tuple>& HashedRows(benchmark::State& state) {
+  static const Database db = MakeDb(2000);
+  return (*db.Get(kHashed[state.range(0)]))->rows();
+}
+
+/// Reports CPU time per row (`per_row`, in seconds) over `rows` rows
+/// handled per iteration.
+void ReportPerRow(benchmark::State& state, size_t rows) {
+  state.SetLabel(kHashed[state.range(0)]);
+  state.counters["rows"] = benchmark::Counter(static_cast<double>(rows));
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kIsIterationInvariantRate |
+                                     benchmark::Counter::kInvert);
+}
+
+const std::vector<size_t> kStudentColumn = {0};
+
+void BM_TableBuild(benchmark::State& state) {
+  const std::vector<Tuple>& rows = HashedRows(state);
+  for (auto _ : state) {
+    TupleTable table(kStudentColumn);
+    for (const Tuple& row : rows) table.Add(row);
+    benchmark::DoNotOptimize(table.size());
+  }
+  ReportPerRow(state, rows.size());
+}
+
+void BM_TableProbe(benchmark::State& state) {
+  const std::vector<Tuple>& rows = HashedRows(state);
+  TupleTable table(kStudentColumn);
+  for (const Tuple& row : rows) table.Add(row);
+  for (auto _ : state) {
+    size_t partners = 0;
+    for (const Tuple& row : rows) {
+      for (uint32_t r = table.Find(row, kStudentColumn);
+           r != TupleTable::kNoRow; r = table.Next(r)) {
+        benchmark::DoNotOptimize(table.Row(r).data());
+        ++partners;
+      }
+    }
+    benchmark::DoNotOptimize(partners);
+  }
+  ReportPerRow(state, rows.size());
+}
+
+void BM_TableDedup(benchmark::State& state) {
+  std::vector<Tuple> joined;
+  for (const Tuple& row : HashedRows(state)) joined.push_back(row.Concat(row));
+  const std::vector<size_t> columns = {0, 1, 3};
+  for (auto _ : state) {
+    TupleTable seen;
+    for (const Tuple& row : joined) seen.InsertKey(row, columns);
+    benchmark::DoNotOptimize(seen.size());
+  }
+  ReportPerRow(state, joined.size());
 }
 
 // --- storage: the write side of a commit ------------------------------
@@ -235,6 +305,9 @@ BENCHMARK(BM_Check)->DenseRange(0, kNumConstraints - 1)->Unit(
     benchmark::kMicrosecond);
 BENCHMARK(BM_AllChecks)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_E9Universal)->Arg(8000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TableBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TableProbe)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TableDedup)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StorageCopy)->Arg(2000)->Arg(8000)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_StorageInsert)->Arg(2000)->Arg(8000)->Unit(

@@ -2,7 +2,8 @@
 # Tier-1 verification, five times:
 #   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
 #      benchmarks use; the columnar kernels' real codegen), plus one
-#      short smoke pass of bench_integrity,
+#      short smoke pass each of bench_integrity and of bench_end_to_end's
+#      bry cases,
 #   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
 #      suite — every other build defines NDEBUG, so this is the one where
 #      the program's asserts and the standard library's bounds checks
@@ -31,6 +32,10 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 # One short pass of the E17 bench; it aborts on a wrong constraint verdict.
 ./build/bench/bench_integrity --benchmark_min_time=0.01 >/dev/null
+# One short pass of the E9 bry cases; each aborts unless its answer
+# equals the nested loop's.
+./build/bench/bench_end_to_end --benchmark_filter=BM_EndToEnd_Bry \
+  --benchmark_min_time=0.01 >/dev/null
 
 echo "== [2/5] Debug + _GLIBCXX_ASSERTIONS build + tests =="
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \

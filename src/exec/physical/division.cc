@@ -2,8 +2,13 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace bryql {
+
+namespace {
+using TupleSet = std::unordered_set<Tuple, TupleHash>;
+}  // namespace
 
 Status BlockingResultOp::NextBatch(TupleBatch* out) {
   out->Clear();
@@ -18,7 +23,7 @@ Status DivisionOp::Open() {
   BRYQL_RETURN_NOT_OK(right_->Open());
   const size_t p = left_arity_;
   const size_t q = right_arity_;
-  TupleSet divisor;
+  TupleTable divisor;
   BRYQL_RETURN_NOT_OK(DrainToSet(right_.get(), ctx_, &divisor));
   std::vector<size_t> prefix_cols, suffix_cols;
   for (size_t i = 0; i < p - q; ++i) prefix_cols.push_back(i);
@@ -32,10 +37,9 @@ Status DivisionOp::Open() {
     if (!have) break;
     if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
     Tuple prefix = t.Project(prefix_cols);
-    Tuple suffix = t.Project(suffix_cols);
     ++ctx_.stats->hash_probes;
-    if (divisor.count(suffix)) {
-      if (groups[std::move(prefix)].insert(std::move(suffix)).second) {
+    if (divisor.ContainsKey(t, suffix_cols)) {
+      if (groups[std::move(prefix)].insert(t.Project(suffix_cols)).second) {
         ++ctx_.stats->tuples_materialized;
       }
     } else {

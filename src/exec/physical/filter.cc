@@ -38,24 +38,21 @@ Status ProjectOp::NextBatch(TupleBatch* out) {
       pos_ = 0;
     }
     while (pos_ < in_.size() && !out->full()) {
-      // Project straight into the next output slot; a duplicate gives the
-      // slot back, so only fresh rows stay visible in `out`.
+      // Dedup on the projected columns of the input row, in place; only a
+      // fresh row is projected into the next output slot.
       const Tuple& in = in_[pos_++];
+      const bool fresh = shared_seen_ != nullptr
+                             ? shared_seen_->InsertKey(in, columns_)
+                             : seen_.InsertKey(in, columns_);
+      if (!fresh) {
+        if (!ctx_.governor->Tick()) return ctx_.governor->status();
+        continue;
+      }
+      if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
+      ++ctx_.stats->tuples_materialized;
       Tuple* projected = out->AddSlot();
       projected->Clear();
       for (size_t column : columns_) projected->Append(in.at(column));
-      const bool fresh = shared_seen_ != nullptr
-                             ? shared_seen_->Insert(*projected)
-                             : seen_.insert(*projected).second;
-      if (!fresh) {
-        out->PopSlot();
-        if (!ctx_.governor->Tick()) return ctx_.governor->status();
-      } else if (!ctx_.governor->AdmitMaterialize()) {
-        out->PopSlot();
-        return ctx_.governor->status();
-      } else {
-        ++ctx_.stats->tuples_materialized;
-      }
     }
   }
   return Status::Ok();

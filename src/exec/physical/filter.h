@@ -56,7 +56,7 @@ class ProjectOp : public PhysicalOperator {
   ShardedTupleSet* shared_seen_;
   TupleBatch in_;
   size_t pos_ = 0;
-  TupleSet seen_;
+  TupleTable seen_;
 };
 
 }  // namespace bryql

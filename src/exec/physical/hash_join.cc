@@ -29,8 +29,8 @@ Status ProductOp::NextBatch(TupleBatch* out) {
       }
     }
     if (right_index_ < right_view_->rows().size()) {
-      ConcatInto(current_left_, right_view_->rows()[right_index_++],
-                 out->AddSlot());
+      ConcatInto(current_left_.values(),
+                 right_view_->rows()[right_index_++].values(), out->AddSlot());
       if (right_index_ == right_view_->rows().size()) right_index_ = 0;
       continue;
     }
@@ -52,7 +52,14 @@ HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
       keys_(std::move(keys)), variant_(variant),
       predicate_(std::move(predicate)), build_left_(build_left),
       pad_arity_(pad_arity), ctx_(ctx), shared_build_(shared_build),
-      probe_cursor_(build_left ? right_.get() : left_.get()) {}
+      build_columns_(KeyColumns(keys_, /*left=*/build_left_)),
+      probe_columns_(KeyColumns(keys_, /*left=*/!build_left_)),
+      probe_cursor_(build_left ? right_.get() : left_.get()) {
+  if (variant_ == JoinVariant::kInner ||
+      variant_ == JoinVariant::kLeftOuter) {
+    table_ = TupleTable(build_columns_);
+  }
+}
 
 Status HashJoinOp::Open() {
   // The probe side opens first, the build side is drained second —
@@ -66,26 +73,32 @@ Status HashJoinOp::Open() {
   switch (variant_) {
     case JoinVariant::kInner:
     case JoinVariant::kLeftOuter:
-      return DrainToTable(build, keys_, /*keys_left=*/build_left_, ctx_,
-                          &table_);
+      return DrainToTable(build, ctx_, &table_);
     case JoinVariant::kSemi:
     case JoinVariant::kAnti:
     case JoinVariant::kMark:
-      return DrainToKeySet(build, keys_, /*keys_left=*/build_left_, ctx_,
-                           &key_set_);
+      return DrainToKeySet(build, build_columns_, ctx_, &table_);
   }
   return Status::Internal("unknown join variant");
 }
 
-const std::vector<Tuple>* HashJoinOp::FindMatches(const Tuple& key) const {
-  if (shared_build_ != nullptr) return shared_build_->Find(key);
-  auto it = table_.find(key);
-  return it == table_.end() ? nullptr : &it->second;
+const TupleTable& HashJoinOp::ProbeTable(size_t* hash) {
+  ++ctx_.stats->hash_probes;
+  ctx_.stats->comparisons += keys_.size();
+  *hash = TupleTable::KeyHash(current_probe_, probe_columns_);
+  return shared_build_ != nullptr ? shared_build_->TableFor(*hash) : table_;
 }
 
-bool HashJoinOp::ContainsKey(const Tuple& key) const {
-  if (shared_build_ != nullptr) return shared_build_->Contains(key);
-  return key_set_.count(key) != 0;
+bool HashJoinOp::FindMatches() {
+  size_t hash = 0;
+  matches_ = &ProbeTable(&hash);
+  match_row_ = matches_->Find(current_probe_, probe_columns_, hash);
+  return match_row_ != TupleTable::kNoRow;
+}
+
+bool HashJoinOp::ContainsKey() {
+  size_t hash = 0;
+  return ProbeTable(&hash).ContainsKey(current_probe_, probe_columns_, hash);
 }
 
 Status HashJoinOp::NextBatch(TupleBatch* out) {
@@ -107,16 +120,17 @@ Status HashJoinOp::NextBatch(TupleBatch* out) {
 Status HashJoinOp::NextInner(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
     if (!ctx_.governor->Tick()) return ctx_.governor->status();
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      const Tuple& partner = (*matches_)[match_index_++];
+    if (match_row_ != TupleTable::kNoRow) {
+      const std::span<const Value> partner = matches_->Row(match_row_);
+      match_row_ = matches_->Next(match_row_);
       // Output columns are always left ++ right, whichever side built.
       // The candidate is built in the next output slot and given back if
       // the residual rejects it.
       Tuple* candidate = out->AddSlot();
       if (build_left_) {
-        ConcatInto(partner, current_probe_, candidate);
+        ConcatInto(partner, current_probe_.values(), candidate);
       } else {
-        ConcatInto(current_probe_, partner, candidate);
+        ConcatInto(current_probe_.values(), partner, candidate);
       }
       if (predicate_ != nullptr &&
           !predicate_->Eval(*candidate, &ctx_.stats->comparisons)) {
@@ -124,7 +138,6 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
       }
       continue;
     }
-    matches_ = nullptr;
     bool have = false;
     BRYQL_RETURN_NOT_OK(
         probe_cursor_.Next(&current_probe_, &have, out->capacity()));
@@ -132,14 +145,7 @@ Status HashJoinOp::NextInner(TupleBatch* out) {
       probe_done_ = true;
       break;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    JoinKeyInto(current_probe_, keys_, /*left=*/!build_left_, &probe_key_);
-    const std::vector<Tuple>* found = FindMatches(probe_key_);
-    if (found != nullptr) {
-      matches_ = found;
-      match_index_ = 0;
-    }
+    FindMatches();
   }
   return Status::Ok();
 }
@@ -153,10 +159,7 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
       probe_done_ = true;
       break;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
-    if (ContainsKey(probe_key_) != (variant_ == JoinVariant::kAnti)) {
+    if (ContainsKey() != (variant_ == JoinVariant::kAnti)) {
       // The probe row is not needed again: swap it out, no copy.
       std::swap(*out->AddSlot(), current_probe_);
     }
@@ -166,11 +169,12 @@ Status HashJoinOp::NextSemiAnti(TupleBatch* out) {
 
 Status HashJoinOp::NextOuter(TupleBatch* out) {
   while (!out->full() && !probe_done_) {
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      ConcatInto(current_probe_, (*matches_)[match_index_++], out->AddSlot());
+    if (match_row_ != TupleTable::kNoRow) {
+      ConcatInto(current_probe_.values(), matches_->Row(match_row_),
+                 out->AddSlot());
+      match_row_ = matches_->Next(match_row_);
       continue;
     }
-    matches_ = nullptr;
     bool have = false;
     BRYQL_RETURN_NOT_OK(
         probe_cursor_.Next(&current_probe_, &have, out->capacity()));
@@ -185,15 +189,7 @@ Status HashJoinOp::NextOuter(TupleBatch* out) {
       EmitPadded(out);
       continue;
     }
-    ++ctx_.stats->hash_probes;
-    ctx_.stats->comparisons += keys_.size();
-    JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
-    const std::vector<Tuple>* found = FindMatches(probe_key_);
-    if (found != nullptr) {
-      matches_ = found;
-      match_index_ = 0;
-      continue;
-    }
+    if (FindMatches()) continue;
     EmitPadded(out);
   }
   return Status::Ok();
@@ -211,10 +207,7 @@ Status HashJoinOp::NextMark(TupleBatch* out) {
     bool marked = false;
     if (predicate_ == nullptr ||
         predicate_->Eval(current_probe_, &ctx_.stats->comparisons)) {
-      ++ctx_.stats->hash_probes;
-      ctx_.stats->comparisons += keys_.size();
-      JoinKeyInto(current_probe_, keys_, /*left=*/true, &probe_key_);
-      marked = ContainsKey(probe_key_);
+      marked = ContainsKey();
     }
     Tuple* slot = out->AddSlot();
     std::swap(*slot, current_probe_);

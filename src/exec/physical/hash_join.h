@@ -53,9 +53,11 @@ class ProductOp : public PhysicalOperator {
 /// The whole hash-join family of the paper behind one operator: inner
 /// join, semi-join, complement-join (Definition 6, kAnti), unidirectional
 /// outer join, and the space-saving constrained outer join (Definition 7,
-/// kMark). The build side is drained into a hash table at Open (a
-/// key-multimap for variants that need partner values, a key set for pure
-/// membership tests); the probe side streams in batches.
+/// kMark). The build side is drained into a TupleTable at Open (a
+/// multimap of build rows for variants that need partner values, a key set
+/// for pure membership tests); the probe side streams in batches, and
+/// each probe row's key is hashed and compared in place. Partners come
+/// out in build order, as in the volcano engine.
 ///
 /// `build_left` (inner joins only) puts the left input on the build side
 /// when the lowering's cost model estimates it smaller; output column
@@ -90,8 +92,13 @@ class HashJoinOp : public PhysicalOperator {
   Status NextMark(TupleBatch* out);
   /// Moves the partnerless probe row into `out`, padded with ∅.
   void EmitPadded(TupleBatch* out);
-  const std::vector<Tuple>* FindMatches(const Tuple& key) const;
-  bool ContainsKey(const Tuple& key) const;
+  /// Counts the probe of current_probe_ and returns the table to look
+  /// its key up in (the shared build's shard, or table_); `*hash` is the
+  /// key's hash.
+  const TupleTable& ProbeTable(size_t* hash);
+  /// Points the partner walk at current_probe_'s partners; false if none.
+  bool FindMatches();
+  bool ContainsKey();
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
@@ -102,14 +109,18 @@ class HashJoinOp : public PhysicalOperator {
   size_t pad_arity_;
   PhysicalContext ctx_;
   const SharedJoinBuild* shared_build_;
+  std::vector<size_t> build_columns_;  // the key columns of a build row
+  std::vector<size_t> probe_columns_;  // the key columns of a probe row
 
   BatchCursor probe_cursor_;
-  TupleMultiMap table_;   // kInner, kLeftOuter
-  TupleSet key_set_;      // kSemi, kAnti, kMark
+  /// A multimap of build rows (kInner, kLeftOuter) or a set of build keys
+  /// (kSemi, kAnti, kMark).
+  TupleTable table_;
   Tuple current_probe_;
-  Tuple probe_key_;  // reused: the probe key of current_probe_
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_index_ = 0;
+  /// The partner walk: the table holding current_probe_'s partners and
+  /// the next one to emit (kNoRow when done).
+  const TupleTable* matches_ = nullptr;
+  uint32_t match_row_ = TupleTable::kNoRow;
   bool probe_done_ = false;
 };
 

@@ -21,9 +21,8 @@ Status DrainToRelation(PhysicalOperator* child, size_t arity,
   return ctx.governor->status();
 }
 
-Status DrainToTable(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                    bool keys_left, const PhysicalContext& ctx,
-                    TupleMultiMap* out) {
+Status DrainToTable(PhysicalOperator* child, const PhysicalContext& ctx,
+                    TupleTable* out) {
   TupleBatch batch(ctx.batch_size);
   while (true) {
     BRYQL_RETURN_NOT_OK(child->NextBatch(&batch));
@@ -32,22 +31,22 @@ Status DrainToTable(PhysicalOperator* child, const std::vector<JoinKey>& keys,
       BRYQL_FAILPOINT("exec.hash.insert");
       if (!ctx.governor->AdmitMaterialize()) return ctx.governor->status();
       ++ctx.stats->tuples_materialized;
-      (*out)[JoinKeyOf(batch[i], keys, keys_left)].push_back(batch[i]);
+      out->Add(batch[i]);
     }
   }
   return ctx.governor->status();
 }
 
-Status DrainToKeySet(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                     bool keys_left, const PhysicalContext& ctx,
-                     TupleSet* out) {
+Status DrainToKeySet(PhysicalOperator* child,
+                     const std::vector<size_t>& key_columns,
+                     const PhysicalContext& ctx, TupleTable* out) {
   TupleBatch batch(ctx.batch_size);
   while (true) {
     BRYQL_RETURN_NOT_OK(child->NextBatch(&batch));
     if (batch.empty()) break;
     for (size_t i = 0; i < batch.size(); ++i) {
       BRYQL_FAILPOINT("exec.hash.insert");
-      if (out->insert(JoinKeyOf(batch[i], keys, keys_left)).second) {
+      if (out->InsertKey(batch[i], key_columns)) {
         if (!ctx.governor->AdmitMaterialize()) return ctx.governor->status();
         ++ctx.stats->tuples_materialized;
       } else if (!ctx.governor->Tick()) {
@@ -59,14 +58,14 @@ Status DrainToKeySet(PhysicalOperator* child, const std::vector<JoinKey>& keys,
 }
 
 Status DrainToSet(PhysicalOperator* child, const PhysicalContext& ctx,
-                  TupleSet* out) {
+                  TupleTable* out) {
   TupleBatch batch(ctx.batch_size);
   while (true) {
     BRYQL_RETURN_NOT_OK(child->NextBatch(&batch));
     if (batch.empty()) break;
     for (size_t i = 0; i < batch.size(); ++i) {
       BRYQL_FAILPOINT("exec.materialize.insert");
-      if (out->insert(batch[i]).second) {
+      if (out->Insert(batch[i])) {
         if (!ctx.governor->AdmitMaterialize()) return ctx.governor->status();
         ++ctx.stats->tuples_materialized;
       } else if (!ctx.governor->Tick()) {

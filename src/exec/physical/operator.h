@@ -2,8 +2,7 @@
 #define BRYQL_EXEC_PHYSICAL_OPERATOR_H_
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "common/batch.h"
 #include "common/governor.h"
 #include "common/result.h"
+#include "exec/physical/tuple_table.h"
 #include "exec/stats.h"
 #include "storage/database.h"
 #include "storage/relation.h"
@@ -67,33 +67,24 @@ class PhysicalOperator {
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 
-using TupleSet = std::unordered_set<Tuple, TupleHash>;
-using TupleMultiMap = std::unordered_map<Tuple, std::vector<Tuple>, TupleHash>;
-
-/// The key columns of `t` for one side of an equi-join ("i = j" in the
-/// paper's conj notation).
-inline Tuple JoinKeyOf(const Tuple& t, const std::vector<JoinKey>& keys,
-                       bool left) {
-  std::vector<Value> values;
-  values.reserve(keys.size());
-  for (const JoinKey& k : keys) values.push_back(t.at(left ? k.left : k.right));
-  return Tuple(std::move(values));
-}
-
-/// JoinKeyOf into a reused tuple: a probe key built per probe row keeps
-/// its storage, where JoinKeyOf allocates a fresh one every time.
-inline void JoinKeyInto(const Tuple& t, const std::vector<JoinKey>& keys,
-                        bool left, Tuple* key) {
-  key->Clear();
-  for (const JoinKey& k : keys) key->Append(t.at(left ? k.left : k.right));
+/// The key columns of one side of an equi-join ("i = j" in the paper's
+/// conj notation): the left columns of `keys` when `left`, else the right.
+inline std::vector<size_t> KeyColumns(const std::vector<JoinKey>& keys,
+                                      bool left) {
+  std::vector<size_t> columns;
+  columns.reserve(keys.size());
+  for (const JoinKey& k : keys) columns.push_back(left ? k.left : k.right);
+  return columns;
 }
 
 /// (a, b) written into `out`, reusing its storage — the in-place form of
-/// Tuple::Concat for warm batch slots.
-inline void ConcatInto(const Tuple& a, const Tuple& b, Tuple* out) {
+/// Tuple::Concat for warm batch slots. Either side may be a stored
+/// TupleTable row.
+inline void ConcatInto(std::span<const Value> a, std::span<const Value> b,
+                       Tuple* out) {
   out->Clear();
-  for (const Value& v : a.values()) out->Append(v);
-  for (const Value& v : b.values()) out->Append(v);
+  for (const Value& v : a) out->Append(v);
+  for (const Value& v : b) out->Append(v);
 }
 
 /// Adapts a batched child to one-tuple-at-a-time pulls, buffering one
@@ -143,23 +134,23 @@ class BatchCursor {
 Status DrainToRelation(PhysicalOperator* child, size_t arity,
                        const PhysicalContext& ctx, Relation* out);
 
-/// Drains `child` into a hash multimap keyed on the right-side join key.
-/// Every tuple is admitted and counted ("exec.hash.insert" failpoint) —
-/// a hash build keeps duplicates as partner values.
-Status DrainToTable(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                    bool keys_left, const PhysicalContext& ctx,
-                    TupleMultiMap* out);
+/// Drains `child` into a multimap TupleTable (keyed on the build side's
+/// join columns). Every tuple is admitted and counted ("exec.hash.insert"
+/// failpoint) — a hash build keeps duplicates as partner values.
+Status DrainToTable(PhysicalOperator* child, const PhysicalContext& ctx,
+                    TupleTable* out);
 
-/// Drains `child` into a set of join keys: fresh keys are admitted and
-/// counted, duplicates only tick ("exec.hash.insert" failpoint).
-Status DrainToKeySet(PhysicalOperator* child, const std::vector<JoinKey>& keys,
-                     bool keys_left, const PhysicalContext& ctx,
-                     TupleSet* out);
+/// Drains `child` into a set of join keys, the values at `key_columns` of
+/// each tuple: fresh keys are admitted and counted, duplicates only tick
+/// ("exec.hash.insert" failpoint).
+Status DrainToKeySet(PhysicalOperator* child,
+                     const std::vector<size_t>& key_columns,
+                     const PhysicalContext& ctx, TupleTable* out);
 
 /// Drains `child` into a set of whole tuples: fresh tuples are admitted
 /// and counted, duplicates only tick ("exec.materialize.insert" failpoint).
 Status DrainToSet(PhysicalOperator* child, const PhysicalContext& ctx,
-                  TupleSet* out);
+                  TupleTable* out);
 
 }  // namespace bryql
 

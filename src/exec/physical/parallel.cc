@@ -97,11 +97,10 @@ Status ParallelRuntime::BuildJoinShared(const PhysicalPlanPtr& node) {
   BRYQL_RETURN_NOT_OK(PrepareSpine(build_child));
   const bool table_mode = node->variant == JoinVariant::kInner ||
                           node->variant == JoinVariant::kLeftOuter;
-  auto owned = std::make_unique<SharedJoinBuild>(table_mode);
+  auto owned = std::make_unique<SharedJoinBuild>(
+      table_mode, KeyColumns(node->keys, /*left=*/node->build_left));
   SharedJoinBuild* build = owned.get();
   shared_.builds.emplace(node.get(), std::move(owned));
-  const std::vector<JoinKey>& keys = node->keys;
-  const bool keys_left = node->build_left;
   // The parallel counterpart of DrainToTable / DrainToKeySet: same
   // admission rules, same failpoint, the inserts just land in the shared
   // sharded structure — so build-side materialize totals match serial.
@@ -115,14 +114,13 @@ Status ParallelRuntime::BuildJoinShared(const PhysicalPlanPtr& node) {
           if (batch.empty()) break;
           for (size_t i = 0; i < batch.size(); ++i) {
             BRYQL_FAILPOINT("exec.hash.insert");
-            Tuple key = JoinKeyOf(batch[i], keys, keys_left);
             if (table_mode) {
               if (!ctx.governor->AdmitMaterialize()) {
                 return ctx.governor->status();
               }
               ++ctx.stats->tuples_materialized;
-              build->InsertTable(key, batch[i]);
-            } else if (build->InsertKey(key)) {
+              build->Add(batch[i]);
+            } else if (build->InsertKey(batch[i])) {
               if (!ctx.governor->AdmitMaterialize()) {
                 return ctx.governor->status();
               }

@@ -55,14 +55,24 @@ class MorselSource {
 /// set (instead of deduping per worker) is what keeps parallel
 /// materialize-admission totals *exactly* equal to serial: each globally
 /// fresh tuple is admitted exactly once, by whichever worker wins the
-/// insert.
+/// insert. Each shard is a TupleTable set.
 class ShardedTupleSet {
  public:
   /// True when `t` was fresh (this call inserted it).
   bool Insert(const Tuple& t) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(t))];
+    const size_t hash = t.Hash();
+    Shard& shard = shards_[ShardOf(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.set.insert(t).second;
+    return shard.set.Insert(t, hash);
+  }
+
+  /// True when (src[cols[0]], ...) was fresh; hashed in place, as
+  /// TupleTable::InsertKey.
+  bool InsertKey(const Tuple& src, const std::vector<size_t>& cols) {
+    const size_t hash = TupleTable::KeyHash(src, cols);
+    Shard& shard = shards_[ShardOf(hash)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    return shard.set.InsertKey(src, cols, hash);
   }
 
   size_t size() const {
@@ -77,50 +87,53 @@ class ShardedTupleSet {
  private:
   static constexpr size_t kShards = 64;
   static size_t ShardOf(size_t hash) {
-    // unordered_set consumes the low bits; take mixed high bits so the
-    // shard choice is independent of the within-shard bucket choice.
+    // The table's slots consume the low bits of the mixed hash; take the
+    // top bits of the product so the shard choice barely overlaps them.
     return (hash * 0x9e3779b97f4a7c15ULL) >> 58;
   }
   struct Shard {
     mutable std::mutex mutex;
-    TupleSet set;
+    TupleTable set;
   };
   std::array<Shard, kShards> shards_;
 };
 
-/// The shared build side of one parallel hash/complement join: a 64-way
-/// key-sharded multimap (kInner/kLeftOuter, partner values kept) or key
-/// set (kSemi/kAnti/kMark, membership only). Built concurrently by the
-/// build phase's workers under per-shard locks; after the phase barrier
-/// the probe phase reads it lock-free (the fork/join edges of RunOnWorkers
+/// The shared build side of one parallel hash/complement join: 64
+/// key-sharded TupleTables, each a multimap of build rows
+/// (kInner/kLeftOuter, partner values kept) or a key set
+/// (kSemi/kAnti/kMark, membership only). Built concurrently by the build
+/// phase's workers under per-shard locks; after the phase barrier the
+/// probe phase reads it lock-free (the fork/join edges of RunOnWorkers
 /// provide the happens-before).
 class SharedJoinBuild {
  public:
-  explicit SharedJoinBuild(bool table_mode) : table_mode_(table_mode) {}
+  /// `build_columns` are the join key columns of a build row.
+  SharedJoinBuild(bool table_mode, std::vector<size_t> build_columns)
+      : build_columns_(std::move(build_columns)) {
+    if (table_mode) {
+      for (Shard& shard : shards_) shard.rows = TupleTable(build_columns_);
+    }
+  }
 
-  bool table_mode() const { return table_mode_; }
-
-  /// Build phase (locked). InsertKey returns whether the key was fresh.
-  void InsertTable(const Tuple& key, const Tuple& value) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+  /// Build phase (locked). Add stores a build row (table mode);
+  /// InsertKey stores its key and returns whether the key was fresh.
+  void Add(const Tuple& row) {
+    const size_t hash = TupleTable::KeyHash(row, build_columns_);
+    Shard& shard = shards_[ShardOf(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table[key].push_back(value);
+    shard.rows.Add(row, hash);
   }
-  bool InsertKey(const Tuple& key) {
-    Shard& shard = shards_[ShardOf(TupleHash{}(key))];
+  bool InsertKey(const Tuple& row) {
+    const size_t hash = TupleTable::KeyHash(row, build_columns_);
+    Shard& shard = shards_[ShardOf(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.keys.insert(key).second;
+    return shard.rows.InsertKey(row, build_columns_, hash);
   }
 
-  /// Probe phase (lock-free; only valid after the build phase barrier).
-  const std::vector<Tuple>* Find(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(TupleHash{}(key))];
-    auto it = shard.table.find(key);
-    return it == shard.table.end() ? nullptr : &it->second;
-  }
-  bool Contains(const Tuple& key) const {
-    const Shard& shard = shards_[ShardOf(TupleHash{}(key))];
-    return shard.keys.count(key) != 0;
+  /// Probe phase (lock-free; only valid after the build phase barrier):
+  /// the shard holding every key whose KeyHash is `hash`.
+  const TupleTable& TableFor(size_t hash) const {
+    return shards_[ShardOf(hash)].rows;
   }
 
  private:
@@ -130,10 +143,9 @@ class SharedJoinBuild {
   }
   struct Shard {
     std::mutex mutex;
-    TupleMultiMap table;  // table_mode
-    TupleSet keys;        // !table_mode
+    TupleTable rows;
   };
-  bool table_mode_;
+  std::vector<size_t> build_columns_;
   std::array<Shard, kShards> shards_;
 };
 

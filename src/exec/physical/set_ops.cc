@@ -18,7 +18,7 @@ Status UnionOp::NextBatch(TupleBatch* out) {
       continue;
     }
     const bool fresh = shared_seen_ != nullptr ? shared_seen_->Insert(current_)
-                                               : seen_.insert(current_).second;
+                                               : seen_.Insert(current_);
     if (fresh) {
       if (!ctx_.governor->AdmitMaterialize()) return ctx_.governor->status();
       ++ctx_.stats->tuples_materialized;

@@ -42,7 +42,7 @@ class UnionOp : public PhysicalOperator {
   ShardedTupleSet* shared_seen_;
   bool on_left_ = true;
   Tuple current_;  // the cursors swap each row into it
-  TupleSet seen_;
+  TupleTable seen_;
 };
 
 }  // namespace bryql

@@ -44,40 +44,20 @@ Result<bool> Relation::Insert(Tuple tuple) {
         " does not match relation arity " + std::to_string(arity_));
   }
   const uint32_t hash = MixHash(tuple);
-  size_t at = 0;
-  if (!slots_.empty()) {
-    at = FindSlot(tuple, hash);
-    if (slots_[at] != kEmptySlot) return false;
-  }
+  const size_t at = FindSlot(tuple, hash);
+  if (slots_.RowAt(at) != SlotTable::kNoRow) return false;
   if (rows_.size() >= kMaxRows) {
     return Status::ResourceExhausted(
         "Insert: relation already holds the maximum of " +
         std::to_string(kMaxRows) + " rows");
   }
-  if (2 * (rows_.size() + 1) > slots_.size()) {
-    GrowSlots();
-    at = FindSlot(tuple, hash);
-  }
-  slots_[at] = (static_cast<uint64_t>(hash) << 32) | rows_.size();
+  slots_.Place(at, hash, static_cast<uint32_t>(rows_.size()));
   for (auto& [column, column_index] : column_indexes_) {
     column_index[tuple.at(column)].push_back(rows_.size());
   }
   if (columnar_) columnar_->Append(tuple);
   rows_.push_back(std::move(tuple));
   return true;
-}
-
-void Relation::GrowSlots() {
-  std::vector<uint64_t> grown(std::max(kMinSlots, 2 * slots_.size()),
-                              kEmptySlot);
-  const size_t mask = grown.size() - 1;
-  for (uint64_t slot : slots_) {
-    if (slot == kEmptySlot) continue;
-    size_t i = SlotHash(slot) & mask;
-    while (grown[i] != kEmptySlot) i = (i + 1) & mask;
-    grown[i] = slot;
-  }
-  slots_ = std::move(grown);
 }
 
 void Relation::BuildColumnStore() {

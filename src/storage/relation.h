@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/slot_table.h"
 #include "common/status.h"
 #include "storage/columnar/column_store.h"
 #include "storage/tuple.h"
@@ -19,10 +20,10 @@ namespace bryql {
 /// one arity. Insertion order is preserved for deterministic iteration and
 /// readable test output; membership is hash-indexed.
 ///
-/// Each row is stored once, in rows(). Membership is a flat open-addressing
-/// table of 8-byte slots, each a 32-bit row id into rows() and 32 bits of
-/// the row's hash, so a relation holds at most 2^32 - 1 rows: the Insert
-/// that would exceed that fails with kResourceExhausted.
+/// Each row is stored once, in rows(). Membership is a SlotTable: a flat
+/// open-addressing table of 8-byte slots, each a 32-bit row id into rows()
+/// and 32 bits of the row's hash, so a relation holds at most 2^32 - 1
+/// rows: the Insert that would exceed that fails with kResourceExhausted.
 ///
 /// The relational model of the paper is pure sets (domain calculus), so the
 /// engine works with Relation everywhere — base tables and intermediate
@@ -57,8 +58,7 @@ class Relation {
   Result<bool> Insert(Tuple tuple);
 
   bool Contains(const Tuple& tuple) const {
-    return !rows_.empty() &&
-           slots_[FindSlot(tuple, MixHash(tuple))] != kEmptySlot;
+    return slots_.RowAt(FindSlot(tuple, MixHash(tuple))) != SlotTable::kNoRow;
   }
 
   /// Tuples in insertion order.
@@ -112,46 +112,22 @@ class Relation {
   using ColumnIndex = std::unordered_map<Value, std::vector<size_t>,
                                          ValueHash>;
 
-  /// A slot is (hash << 32) | row id; all ones marks an empty slot, which
-  /// is why row id 2^32 - 1 is never handed out.
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-  static constexpr size_t kMaxRows = 0xFFFFFFFFu;
-  static constexpr size_t kMinSlots = 8;
+  static constexpr size_t kMaxRows = SlotTable::kMaxRows;
 
-  /// The high half of Tuple::Hash() times a 64-bit odd constant: well mixed
-  /// in its low bits too, which pick the home slot.
   static uint32_t MixHash(const Tuple& tuple) {
-    return static_cast<uint32_t>(
-        (static_cast<uint64_t>(tuple.Hash()) * 0x9e3779b97f4a7c15ull) >> 32);
-  }
-  static uint32_t SlotHash(uint64_t slot) {
-    return static_cast<uint32_t>(slot >> 32);
-  }
-  static uint32_t SlotRow(uint64_t slot) {
-    return static_cast<uint32_t>(slot);
+    return SlotTable::Mix(tuple.Hash());
   }
 
-  /// The slot holding `tuple`, or the empty slot where it would go.
-  /// Requires a non-empty table (load <= 1/2 keeps an empty slot).
+  /// The slot holding `tuple`, or the free slot where it would go.
   size_t FindSlot(const Tuple& tuple, uint32_t hash) const {
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const uint64_t slot = slots_[i];
-      if (slot == kEmptySlot ||
-          (SlotHash(slot) == hash && rows_[SlotRow(slot)] == tuple)) {
-        return i;
-      }
-    }
+    return slots_.Find(hash,
+                       [&](uint32_t row) { return rows_[row] == tuple; });
   }
-
-  /// Doubles the slot table (or creates it), re-placing every slot from
-  /// its stored hash; no row is hashed again.
-  void GrowSlots();
 
   size_t arity_;
   std::vector<Tuple> rows_;
-  /// Power-of-two sized, load <= 1/2, linear probing; empty with no rows.
-  std::vector<uint64_t> slots_;
+  /// Row ids of rows(), by hash; empty with no rows.
+  SlotTable slots_;
   std::map<size_t, ColumnIndex> column_indexes_;
   std::unique_ptr<ColumnStore> columnar_;
 };

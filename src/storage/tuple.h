@@ -10,6 +10,10 @@
 
 namespace bryql {
 
+/// Tuple::Hash()'s seed; hashing values in place (TupleTable) starts from
+/// it too, so a key hashes alike whether or not it was copied out.
+inline constexpr size_t kTupleHashSeed = 0x51ed270b;
+
 /// A fixed-arity row of domain values. Tuples are plain value vectors:
 /// column naming lives in Schema, positional access everywhere else, which
 /// matches the paper's positional algebra (attributes 1..n).
@@ -49,7 +53,7 @@ class Tuple {
   }
 
   size_t Hash() const {
-    size_t h = 0x51ed270b;
+    size_t h = kTupleHashSeed;
     for (const Value& v : values_) h = HashCombine(h, v.Hash());
     return h;
   }

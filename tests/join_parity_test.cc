@@ -3,7 +3,9 @@
 // difference/intersection reductions — must produce identical relations
 // under hash and sort-merge lowering, in both the batched and the
 // tuple-at-a-time engine. Parameterized over seeds so the inputs cover
-// duplicates, empty partner sets and skewed keys.
+// duplicates, empty partner sets and skewed keys. With several partners
+// per key, the inner hash join must also match the volcano engine's row
+// order and, under a first-witness test, its work counters.
 
 #include <gtest/gtest.h>
 
@@ -169,6 +171,94 @@ TEST_P(JoinParityTest, TinyBatchesDoNotChangeAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinParityTest,
                          ::testing::Values(1u, 2u, 3u, 7u, 11u));
+
+/// Partner order: an inner hash join emits each probe row's partners in
+/// build order, so with several partners per key the batched engine's
+/// rows come out in exactly the volcano engine's order, and its work
+/// counters match, at any batch size.
+TEST(HashJoinOrderTest, ManyPartnersPerKeyEmitInVolcanoOrder) {
+  Database db;
+  Relation left(2), right(2);
+  for (int64_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(left.Insert(Tuple({Value::Int(i % 4), Value::Int(i)})).ok());
+  }
+  // Seven partners per key, inserted interleaved across keys.
+  for (int64_t j = 0; j < 28; ++j) {
+    ASSERT_TRUE(
+        right.Insert(Tuple({Value::Int(j % 4), Value::Int(100 + j)})).ok());
+  }
+  db.Put("left", std::move(left));
+  db.Put("right", std::move(right));
+  const ExprPtr join =
+      Expr::Join(Expr::Scan("left"), Expr::Scan("right"), {{0, 0}}, nullptr);
+
+  ExecOptions volcano_options;
+  volcano_options.mode = ExecOptions::Mode::kTupleAtATime;
+  volcano_options.cost_based_build_side = false;
+  Executor volcano(&db, volcano_options);
+  auto want = volcano.Evaluate(join);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(want->size(), 30u * 7u);
+
+  for (size_t batch_size : {1u, 7u, 1024u}) {
+    ExecOptions options;
+    options.batch_size = batch_size;
+    options.cost_based_build_side = false;
+    Executor batched(&db, options);
+    auto got = batched.Evaluate(join);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows(), want->rows()) << "batch_size=" << batch_size;
+    EXPECT_EQ(batched.stats().ToString(), volcano.stats().ToString())
+        << "batch_size=" << batch_size;
+  }
+}
+
+/// A violated integrity check (E17 c3: a student enrolled in two
+/// departments) stops at its first witness. Which joined row is first
+/// depends on partner order, so the batched engine must stop after the
+/// same scans, probes and materializations as the volcano engine.
+TEST(HashJoinOrderTest, ViolatedCheckStopsAtVolcanoCounters) {
+  Database db;
+  Relation enrolled(2);
+  auto add = [&](const char* student, const char* department) {
+    ASSERT_TRUE(enrolled
+                    .Insert(Tuple({Value::String(student),
+                                   Value::String(department)}))
+                    .ok());
+  };
+  add("ann", "cs");
+  add("bob", "cs");
+  add("cid", "math");
+  add("bob", "math");  // bob's partners: cs, math, physics, in that order
+  add("dan", "cs");
+  add("bob", "physics");
+  add("eve", "math");
+  db.Put("enrolled", std::move(enrolled));
+  const char* check =
+      "forall x d1 d2: (enrolled(x, d1) & enrolled(x, d2)) -> d1 = d2";
+
+  QueryProcessor batched(&db);
+  QueryProcessor volcano(&db);
+  ExecOptions volcano_options;
+  volcano_options.mode = ExecOptions::Mode::kTupleAtATime;
+  volcano.SetExecOptions(volcano_options);
+  auto want = volcano.Run(check);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_FALSE(want->answer.truth);
+  for (size_t batch_size : {1u, 1024u}) {
+    ExecOptions options;
+    options.batch_size = batch_size;
+    batched.SetExecOptions(options);
+    auto got = batched.Run(check);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_FALSE(got->answer.truth);
+    const std::string label = "batch_size=" + std::to_string(batch_size);
+    EXPECT_EQ(got->stats.tuples_scanned, want->stats.tuples_scanned) << label;
+    EXPECT_EQ(got->stats.hash_probes, want->stats.hash_probes) << label;
+    EXPECT_EQ(got->stats.tuples_materialized, want->stats.tuples_materialized)
+        << label;
+  }
+}
 
 /// End-to-end parity on the paper suite: the QueryProcessor run under
 /// sort-merge lowering agrees with the default hash lowering.

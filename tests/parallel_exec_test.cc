@@ -4,11 +4,12 @@
 // must produce identical answers at num_threads ∈ {1, 2, 8} and serial,
 // with identical Status verdicts under tuple budgets, deadlines and
 // cancellation. The probe-join differential runs here at 2 and 8
-// workers. The operator-statistics contract (which pulls are clocked,
-// which only counted) is checked serially and at 2 workers. Also covers
-// concurrent QueryProcessor use: many threads sharing one processor (and
-// so one plan cache) must never race or lose counter increments;
-// scripts/check.sh runs this binary under TSan.
+// workers, and so does a join build with many partners per key spread
+// over the shared build's shards. The operator-statistics contract
+// (which pulls are clocked, which only counted) is checked serially and
+// at 2 workers. Also covers concurrent QueryProcessor use: many threads
+// sharing one processor (and so one plan cache) must never race or lose
+// counter increments; scripts/check.sh runs this binary under TSan.
 
 #include <gtest/gtest.h>
 
@@ -311,6 +312,54 @@ TEST(ParallelProbeJoinTest, MatchesOracleAndHashTwinAtEveryDegree) {
 
 TEST(ParallelProbeJoinTest, IndexLessReplacementFallsBackToTheHashJoin) {
   probe_join_cases::ExpectStaleIndexFallsBack(/*threads=*/2);
+}
+
+// ---------------------------------------------------------------------
+// Shared join builds with many partners per key. Each key's partners sit
+// in one shard's TupleTable chain; 50 keys spread over the 64 shards.
+// Answers and work counters at 2 and 8 workers must equal the serial run
+// (scripts/check.sh runs this under TSan, which race-checks the shared
+// flat build).
+
+TEST(ParallelSharedBuildTest, ManyPartnersPerKeyAcrossShardsMatchSerial) {
+  Database db;
+  Relation l(2), r(2);
+  for (int64_t i = 0; i < 600; ++i) {
+    ASSERT_TRUE(l.Insert(Tuple({Value::Int(i), Value::Int(i % 50)})).ok());
+  }
+  for (int64_t j = 0; j < 2000; ++j) {
+    ASSERT_TRUE(r.Insert(Tuple({Value::Int(j % 50), Value::Int(j)})).ok());
+  }
+  db.Put("l", std::move(l));
+  db.Put("r", std::move(r));
+  QueryProcessor qp(&db);
+  const char* queries[] = {
+      "{ x, y, z | l(x, y) & r(y, z) }",
+      "{ x, z | exists y: l(x, y) & r(y, z) & z < 1500 }",
+      "{ y | exists x z: l(x, y) & r(y, z) }",
+      "{ x | exists y: l(x, y) & ~(exists z: r(y, z) & z > 1990) }",
+  };
+  for (const char* text : queries) {
+    auto serial = qp.Run(text, Strategy::kBry, WithThreads(0));
+    ASSERT_TRUE(serial.ok()) << text << ": " << serial.status();
+    ASSERT_FALSE(serial->answer.relation.empty()) << text;
+    for (size_t threads : {2u, 8u}) {
+      const std::string label =
+          std::string(text) + " @" + std::to_string(threads);
+      auto parallel = qp.Run(text, Strategy::kBry, WithThreads(threads));
+      ASSERT_TRUE(parallel.ok()) << label << ": " << parallel.status();
+      ExpectSameAnswer(*serial, *parallel, label);
+      EXPECT_EQ(serial->stats.tuples_scanned, parallel->stats.tuples_scanned)
+          << label;
+      EXPECT_EQ(serial->stats.tuples_materialized,
+                parallel->stats.tuples_materialized)
+          << label;
+      EXPECT_EQ(serial->stats.hash_probes, parallel->stats.hash_probes)
+          << label;
+      EXPECT_EQ(serial->stats.comparisons, parallel->stats.comparisons)
+          << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
