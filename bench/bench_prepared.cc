@@ -1,7 +1,7 @@
 // Physical-layer ablations: what batching buys over tuple-at-a-time
-// data flow on the E3/E6/E9 workloads, and what the prepared-query plan
-// cache buys on repeated queries (cache-hit vs. cold Run latency, and
-// Prepare+Execute vs. Run).
+// data flow (batch size 1) on the E3/E6/E9 workloads, and what the
+// prepared-query plan cache buys on repeated queries (cache-hit vs. cold
+// Run latency, and Prepare+Execute vs. Run).
 
 #include "bench/bench_util.h"
 
@@ -35,25 +35,45 @@ Database MakeDb(size_t students) {
   return MakeUniversity(config);
 }
 
-/// Batched physical operators vs. the volcano engine, same plans, same
-/// admissions — the delta is pure per-tuple interpretation overhead.
-void RunEngineCase(benchmark::State& state, ExecOptions::Mode mode,
-                   size_t batch_size) {
+/// Runs `w` once; aborts on failure (the workloads are fixed and known
+/// good, so a failed run is a bug, not a data point).
+Execution RunOrAbort(const QueryProcessor& qp, const Workload& w) {
+  auto result = qp.Run(w.text);
+  if (!result.ok()) {
+    std::cerr << w.name << " failed: " << result.status() << "\n";
+    std::abort();
+  }
+  return std::move(*result);
+}
+
+/// The batched engine at a given batch size, same plans, same admissions.
+/// Batch size 1 is the tuple-at-a-time ablation: the delta to the default
+/// size is pure per-tuple interpretation overhead. A non-default size is
+/// checked once, outside the timed loop, against the default size's
+/// answer, and the run aborts on a mismatch.
+void RunEngineCase(benchmark::State& state, size_t batch_size) {
   const Workload& w = kWorkloads[state.range(1)];
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
   QueryProcessor qp(&db);
   ExecOptions options;
-  options.mode = mode;
   options.batch_size = batch_size;
   qp.SetExecOptions(options);
+  if (batch_size != kDefaultBatchSize) {
+    const Execution want = RunOrAbort(QueryProcessor(&db), w);
+    const Execution got = RunOrAbort(qp, w);
+    const bool same = want.answer.closed
+                          ? want.answer.truth == got.answer.truth
+                          : want.answer.relation == got.answer.relation;
+    if (!same) {
+      std::cerr << w.name << ": batch size " << batch_size
+                << " disagrees with batch size " << kDefaultBatchSize
+                << "\n";
+      std::abort();
+    }
+  }
   Execution exec;
   for (auto _ : state) {
-    auto result = qp.Run(w.text);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    exec = std::move(*result);
+    exec = RunOrAbort(qp, w);
     benchmark::DoNotOptimize(exec.answer.relation);
     benchmark::DoNotOptimize(exec.answer.truth);
   }
@@ -62,13 +82,10 @@ void RunEngineCase(benchmark::State& state, ExecOptions::Mode mode,
 }
 
 void BM_Engine_Batched(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kBatched, kDefaultBatchSize);
+  RunEngineCase(state, kDefaultBatchSize);
 }
 void BM_Engine_BatchedSize1(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kBatched, 1);
-}
-void BM_Engine_TupleAtATime(benchmark::State& state) {
-  RunEngineCase(state, ExecOptions::Mode::kTupleAtATime, 0);
+  RunEngineCase(state, 1);
 }
 
 /// Cold pipeline: a fresh QueryProcessor per iteration, so every Run
@@ -149,7 +166,6 @@ void Args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_Engine_Batched)->Apply(Args);
 BENCHMARK(BM_Engine_BatchedSize1)->Apply(Args);
-BENCHMARK(BM_Engine_TupleAtATime)->Apply(Args);
 BENCHMARK(BM_Prepared_ColdRun)->Apply(Args);
 BENCHMARK(BM_Prepared_CachedRun)->Apply(Args);
 BENCHMARK(BM_Prepared_Execute)->Apply(Args);

@@ -2,8 +2,8 @@
 # Tier-1 verification, five times:
 #   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
 #      benchmarks use; the columnar kernels' real codegen), plus one
-#      short smoke pass each of bench_integrity and of bench_end_to_end's
-#      bry cases,
+#      short smoke pass each of bench_integrity, of bench_end_to_end's
+#      bry cases and of bench_prepared's engine cases,
 #   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
 #      suite — every other build defines NDEBUG, so this is the one where
 #      the program's asserts and the standard library's bounds checks
@@ -35,6 +35,10 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 # One short pass of the E9 bry cases; each aborts unless its answer
 # equals the nested loop's.
 ./build/bench/bench_end_to_end --benchmark_filter=BM_EndToEnd_Bry \
+  --benchmark_min_time=0.01 >/dev/null
+# One short pass of the engine cases; batch size 1 aborts unless its
+# answer equals the default batch size's.
+./build/bench/bench_prepared --benchmark_filter=BM_Engine \
   --benchmark_min_time=0.01 >/dev/null
 
 echo "== [2/5] Debug + _GLIBCXX_ASSERTIONS build + tests =="

@@ -18,15 +18,14 @@ inline constexpr size_t kDefaultBatchSize = 1024;
 /// operators. The capacity is a *request*: producers fill at most
 /// `capacity()` tuples per NextBatch call, and consumers that need early
 /// termination (the paper's first-witness non-emptiness test, §3.2) shrink
-/// it — a capacity-1 batch degrades gracefully to tuple-at-a-time pulls,
-/// preserving the volcano engine's short-circuit guarantees exactly.
+/// it — a capacity-1 batch degrades gracefully to tuple-at-a-time pulls
+/// that admit no row past the first witness.
 ///
 /// Slots are recycled: Clear() resets the logical size but keeps every
 /// Tuple object (and its heap storage) alive, and AddSlot() hands the
 /// next recycled slot back to the producer. Copy-assigning a tuple into
 /// a warm slot reuses its allocation, so a steady-state batch pipeline
-/// performs no per-tuple allocations — the same property the volcano
-/// engine gets from copy-assigning into one long-lived Tuple buffer.
+/// performs no per-tuple allocations.
 /// Between operators a row changes hands by std::swap rather than by
 /// copy: the consumer's warm tuple goes back into the slot, so the next
 /// refill writes into storage that is already there.

@@ -65,8 +65,8 @@ struct QueryOptions {
   const CancellationToken* cancellation = nullptr;
   /// Worker threads for batched physical execution. 0 = serial (today's
   /// behaviour, bit-for-bit); N > 0 fans each pipeline out into N
-  /// morsel-fed partitions on the shared ThreadPool. The volcano
-  /// (tuple-at-a-time) engine and the nested-loop strategy ignore this.
+  /// morsel-fed partitions on the shared ThreadPool. The nested-loop
+  /// strategy ignores this.
   /// Deliberately absent from the plan-cache key: the degree picks how a
   /// plan is *driven*, not what it is, so one cached plan serves any
   /// parallelism degree.
@@ -76,12 +76,6 @@ struct QueryOptions {
   /// plan suspected of being poisoned (e.g. it keeps failing while peers
   /// succeed) is rebuilt from the text without evicting anything.
   bool bypass_plan_cache = false;
-  /// Run on the tuple-at-a-time (volcano) engine regardless of the
-  /// processor's configured mode. The service layer's last degradation
-  /// rung: the simplest engine, serial by construction, bypassing the
-  /// batched physical operators entirely. Like num_threads, this picks
-  /// how a plan is *driven* and is absent from the plan-cache key.
-  bool force_tuple_engine = false;
 
   /// Everything unlimited — the pre-governor behaviour, for benchmarks.
   static QueryOptions Unlimited();

@@ -55,6 +55,39 @@ ParseLimits ParseLimitsFor(const QueryOptions& options) {
   return limits;
 }
 
+/// Answers `query`, whose canonical formula is `canonical`, with the
+/// Figure 1 nested loop.
+Status AnswerByNestedLoop(const Database* db, ResourceGovernor* governor,
+                          const Query& query, const FormulaPtr& canonical,
+                          Execution* exec) {
+  NestedLoopEvaluator eval(db, governor);
+  if (query.closed()) {
+    BRYQL_ASSIGN_OR_RETURN(exec->answer.truth, eval.EvaluateClosed(canonical));
+    exec->answer.closed = true;
+  } else {
+    BRYQL_ASSIGN_OR_RETURN(exec->answer.relation,
+                           eval.EvaluateOpen(Query{query.targets, canonical}));
+  }
+  exec->stats = eval.stats();
+  return Status::Ok();
+}
+
+/// Runs a lowered plan on the batched engine; a closed query's plan is
+/// a boolean non-emptiness test.
+Status AnswerByPlan(Executor* executor, bool closed,
+                    const PhysicalPlanPtr& plan, Execution* exec) {
+  if (closed) {
+    BRYQL_ASSIGN_OR_RETURN(exec->answer.truth,
+                           executor->ExecutePhysicalBool(plan));
+    exec->answer.closed = true;
+  } else {
+    BRYQL_ASSIGN_OR_RETURN(exec->answer.relation,
+                           executor->ExecutePhysical(plan));
+  }
+  exec->stats = executor->stats();
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<Execution> QueryProcessor::BuildExecution(
@@ -85,6 +118,7 @@ Result<Execution> QueryProcessor::BuildExecution(
   rewrite_options.max_steps = options.max_rewrite_steps;
   rewrite_options.governor = governor;
   Execution exec;
+  exec.strategy = strategy;
   exec.query = query;
   std::set<std::string> targets(query.targets.begin(), query.targets.end());
   if (strategy == Strategy::kNestedLoop) {
@@ -150,7 +184,7 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   // Everything that shapes the prepared artifacts must be in the key:
   // the strategy and translation-affecting processor state, the lowering
   // knobs, and the structural limits (a plan prepared under lax limits
-  // must not satisfy a stricter run). Engine mode and batch size are
+  // must not satisfy a stricter run). Batch size and thread count are
   // deliberately absent — they pick how a plan is *driven*, not what it
   // is, and Execute consults them directly. Views are handled by
   // invalidation (SetViews clears the cache).
@@ -160,7 +194,6 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   key += exec_options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
              ? 's'
              : 'h';
-  key += exec_options_.cost_based_build_side ? 'c' : '-';
   key += '\x1f';
   key += std::to_string(options.max_formula_depth);
   key += ':';
@@ -218,61 +251,26 @@ Result<PreparedQueryPtr> QueryProcessor::PrepareInternal(
 Result<Execution> QueryProcessor::ExecuteInternal(
     const PreparedQuery& prepared, ResourceGovernor* governor) const {
   Execution exec;
+  exec.strategy = prepared.strategy;
   exec.query = prepared.query;
   exec.canonical = prepared.canonical;
   exec.plan = prepared.plan;
   exec.physical = prepared.physical;
   exec.rewrite_steps = prepared.rewrite_steps;
   if (prepared.strategy == Strategy::kNestedLoop) {
-    NestedLoopEvaluator eval(db_, governor);
-    if (prepared.query.closed()) {
-      BRYQL_ASSIGN_OR_RETURN(bool truth,
-                             eval.EvaluateClosed(prepared.canonical));
-      exec.answer.closed = true;
-      exec.answer.truth = truth;
-    } else {
-      Query canonical_query{prepared.query.targets, prepared.canonical};
-      BRYQL_ASSIGN_OR_RETURN(Relation rel,
-                             eval.EvaluateOpen(canonical_query));
-      exec.answer.relation = std::move(rel);
-    }
-    exec.stats = eval.stats();
+    BRYQL_RETURN_NOT_OK(AnswerByNestedLoop(db_, governor, prepared.query,
+                                           prepared.canonical, &exec));
     return exec;
   }
-  // The tuple-engine override (service degradation rung) is a per-run
-  // knob carried on the governor's options, never processor state — the
-  // plan cache and concurrent runs are unaffected.
-  ExecOptions exec_options = exec_options_;
-  if (governor->options().force_tuple_engine) {
-    exec_options.mode = ExecOptions::Mode::kTupleAtATime;
+  Executor executor(db_, exec_options_, governor);
+  // The prepared physical plan is the fast path; re-lower from the
+  // logical plan when the catalog moved since preparation.
+  PhysicalPlanPtr physical = prepared.physical;
+  if (physical == nullptr || prepared.db_version != db_->version()) {
+    BRYQL_ASSIGN_OR_RETURN(physical, executor.Lower(prepared.plan));
   }
-  Executor executor(db_, exec_options, governor);
-  // The prepared physical plan is the fast path; fall back to lowering
-  // from the logical plan when the engine is in tuple-at-a-time mode or
-  // the catalog moved since preparation.
-  const bool use_physical =
-      exec_options.mode == ExecOptions::Mode::kBatched &&
-      prepared.physical != nullptr && prepared.db_version == db_->version();
-  if (prepared.query.closed()) {
-    bool truth = false;
-    if (use_physical) {
-      BRYQL_ASSIGN_OR_RETURN(truth,
-                             executor.ExecutePhysicalBool(prepared.physical));
-    } else {
-      BRYQL_ASSIGN_OR_RETURN(truth, executor.EvaluateBool(prepared.plan));
-    }
-    exec.answer.closed = true;
-    exec.answer.truth = truth;
-  } else {
-    Relation rel{0};
-    if (use_physical) {
-      BRYQL_ASSIGN_OR_RETURN(rel, executor.ExecutePhysical(prepared.physical));
-    } else {
-      BRYQL_ASSIGN_OR_RETURN(rel, executor.Evaluate(prepared.plan));
-    }
-    exec.answer.relation = std::move(rel);
-  }
-  exec.stats = executor.stats();
+  BRYQL_RETURN_NOT_OK(
+      AnswerByPlan(&executor, prepared.query.closed(), physical, &exec));
   return exec;
 }
 
@@ -285,35 +283,13 @@ Result<Execution> QueryProcessor::RunQuery(const Query& query,
   BRYQL_ASSIGN_OR_RETURN(Execution exec,
                          BuildExecution(query, strategy, options, &governor));
   if (strategy == Strategy::kNestedLoop) {
-    NestedLoopEvaluator eval(db_, &governor);
-    if (query.closed()) {
-      BRYQL_ASSIGN_OR_RETURN(bool truth,
-                             eval.EvaluateClosed(exec.canonical));
-      exec.answer.closed = true;
-      exec.answer.truth = truth;
-    } else {
-      Query canonical_query{query.targets, exec.canonical};
-      BRYQL_ASSIGN_OR_RETURN(Relation rel,
-                             eval.EvaluateOpen(canonical_query));
-      exec.answer.relation = std::move(rel);
-    }
-    exec.stats = eval.stats();
+    BRYQL_RETURN_NOT_OK(
+        AnswerByNestedLoop(db_, &governor, query, exec.canonical, &exec));
     return exec;
   }
-  ExecOptions exec_options = exec_options_;
-  if (options.force_tuple_engine) {
-    exec_options.mode = ExecOptions::Mode::kTupleAtATime;
-  }
-  Executor executor(db_, exec_options, &governor);
-  if (query.closed()) {
-    BRYQL_ASSIGN_OR_RETURN(bool truth, executor.EvaluateBool(exec.plan));
-    exec.answer.closed = true;
-    exec.answer.truth = truth;
-  } else {
-    BRYQL_ASSIGN_OR_RETURN(Relation rel, executor.Evaluate(exec.plan));
-    exec.answer.relation = std::move(rel);
-  }
-  exec.stats = executor.stats();
+  Executor executor(db_, exec_options_, &governor);
+  BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr physical, executor.Lower(exec.plan));
+  BRYQL_RETURN_NOT_OK(AnswerByPlan(&executor, query.closed(), physical, &exec));
   return exec;
 }
 

@@ -57,6 +57,9 @@ struct Answer {
 /// Everything produced along the way, for EXPLAIN-style reporting and the
 /// benchmarks.
 struct Execution {
+  /// The strategy that produced this execution. A degraded service reply
+  /// names the engine that answered, which may differ from the request's.
+  Strategy strategy = Strategy::kBry;
   Query query;
   FormulaPtr canonical;      // null for kNestedLoop on the raw formula
   ExprPtr plan;              // null for kNestedLoop

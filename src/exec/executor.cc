@@ -5,7 +5,6 @@
 #include "exec/lowering.h"
 #include "exec/physical/parallel.h"
 #include "exec/physical/runtime.h"
-#include "exec/volcano.h"
 
 namespace bryql {
 
@@ -23,15 +22,7 @@ Status Executor::CheckDepth(const ExprPtr& expr) const {
 }
 
 Result<Relation> Executor::Evaluate(const ExprPtr& expr) {
-  BRYQL_RETURN_NOT_OK(CheckDepth(expr));
-  // Validate the whole tree up front so the engines can assume
-  // well-formed shapes.
-  BRYQL_RETURN_NOT_OK(expr->Arity(*db_).status());
-  if (options_.mode == ExecOptions::Mode::kTupleAtATime) {
-    return VolcanoEvaluate(db_, options_, &stats_, governor_, expr);
-  }
-  BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr plan,
-                         LowerPlan(*db_, options_, expr));
+  BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr plan, Lower(expr));
   return ExecutePhysical(plan);
 }
 
@@ -43,9 +34,6 @@ Result<bool> Executor::EvaluateBool(const ExprPtr& expr) {
         "EvaluateBool requires an arity-0 (boolean) expression, got arity " +
         std::to_string(arity));
   }
-  if (options_.mode == ExecOptions::Mode::kTupleAtATime) {
-    return VolcanoEvaluateBool(db_, options_, &stats_, governor_, expr);
-  }
   BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr plan,
                          LowerPlan(*db_, options_, expr));
   return ExecutePhysicalBool(plan);
@@ -53,6 +41,8 @@ Result<bool> Executor::EvaluateBool(const ExprPtr& expr) {
 
 Result<PhysicalPlanPtr> Executor::Lower(const ExprPtr& expr) const {
   BRYQL_RETURN_NOT_OK(CheckDepth(expr));
+  // Validate the whole tree up front so the lowering can assume
+  // well-formed shapes.
   BRYQL_RETURN_NOT_OK(expr->Arity(*db_).status());
   return LowerPlan(*db_, options_, expr);
 }

@@ -23,23 +23,10 @@ struct ExecOptions {
   };
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
 
-  enum class Mode {
-    /// Lower to a physical plan and run batched operators (default).
-    kBatched,
-    /// The original volcano engine: one virtual call per tuple. Kept as
-    /// the differential-testing baseline and for measuring what batching
-    /// buys.
-    kTupleAtATime,
-  };
-  Mode mode = Mode::kBatched;
-
-  /// Tuples per NextBatch transfer in batched mode. 1 degrades to
-  /// tuple-at-a-time data flow (but still through the physical layer).
+  /// Tuples per NextBatch transfer. 1 degrades to tuple-at-a-time data
+  /// flow through the same operators: answers, counters and budget
+  /// verdicts are identical at every batch size.
   size_t batch_size = kDefaultBatchSize;
-
-  /// Let the lowering's cost model put the smaller input of an inner hash
-  /// join on the build side. Off means conventional build-right always.
-  bool cost_based_build_side = true;
 
   /// Let the lowering turn σ_pred(scan) into a ColumnarScan when the base
   /// relation has a column store and the cost model favours it. Off means
@@ -50,21 +37,19 @@ struct ExecOptions {
 
 /// Evaluates algebra expressions over a database.
 ///
-/// Since the physical-layer split, the Executor is a thin facade over
-/// three pieces:
+/// The Executor is a thin facade over two pieces:
 ///
 ///   * src/exec/lowering — compiles the logical Expr tree into a
 ///     PhysicalPlan (access paths, join algorithm, build side);
 ///   * src/exec/physical — batched Open/NextBatch/Close operators and the
-///     PlanRuntime that instantiates plans (default mode);
-///   * src/exec/volcano — the original tuple-at-a-time engine
-///     (Mode::kTupleAtATime), kept bit-compatible in results, counters
-///     and governor behaviour for differential testing.
+///     PlanRuntime that instantiates plans.
 ///
-/// Both engines implement the paper's stance in §3.2 — unary operators
+/// The operators implement the paper's stance in §3.2 — unary operators
 /// and probe sides pipeline, build sides and divisions materialize, and
 /// non-emptiness tests (closed queries) pull at most one tuple and stop
-/// at the first witness.
+/// at the first witness. The independent oracle is not a second algebra
+/// engine but the Figure 1 nested loop (src/nestedloop), which evaluates
+/// the calculus directly.
 ///
 /// Resource governance: every base-relation read and every intermediate
 /// materialization is admitted through the ResourceGovernor, operator

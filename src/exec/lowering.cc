@@ -12,9 +12,8 @@ namespace {
 
 /// Finds an equality conjunct `col = value` whose column carries an index
 /// on `rel`. On a hit, `*residual` receives the remaining conjuncts (or
-/// nullptr when the equality was the whole predicate). Same access-path
-/// rule the volcano engine applies at iterator-construction time — here it
-/// is applied once, at lowering time.
+/// nullptr when the equality was the whole predicate). Applied once, at
+/// lowering time, so every run of a cached plan uses the same access path.
 const Predicate* FindIndexedEquality(const PredicatePtr& pred,
                                      const Relation& rel,
                                      PredicatePtr* residual) {
@@ -121,8 +120,7 @@ class Lowerer {
         node->variant = JoinVariant::kInner;
         node->keys = expr->keys();
         node->predicate = expr->predicate();
-        if (node->kind == PhysicalKind::kHashJoin &&
-            options_.cost_based_build_side) {
+        if (node->kind == PhysicalKind::kHashJoin) {
           BRYQL_ASSIGN_OR_RETURN(CostEstimate left_est,
                                  cost_.Estimate(expr->left()));
           BRYQL_ASSIGN_OR_RETURN(CostEstimate right_est,

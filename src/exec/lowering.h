@@ -11,9 +11,9 @@ namespace bryql {
 
 /// Lowers a logical algebra expression to an executable physical plan.
 ///
-/// This is the layer where decisions the volcano engine made implicitly,
-/// per tuple, at evaluation time become explicit, inspectable plan
-/// structure, made once:
+/// This is the layer where physical decisions become explicit,
+/// inspectable plan structure, made once per plan instead of at
+/// evaluation time:
 ///
 ///   * access paths — σ_{col=value}(scan) over an indexed column becomes
 ///     an IndexScan with the remaining conjuncts as a residual filter;
@@ -22,7 +22,7 @@ namespace bryql {
 ///     per ExecOptions::join_algorithm, and difference/intersection lower
 ///     to whole-tuple-key semi/anti joins of the same family;
 ///   * build-side placement — inner hash joins build on whichever input
-///     the cost model estimates smaller (ExecOptions::cost_based_build_side);
+///     the cost model estimates strictly smaller (ties build right);
 ///   * cost annotations — every node carries the cost model's row/cost
 ///     estimates, surfaced by the physical EXPLAIN.
 ///

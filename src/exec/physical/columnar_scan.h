@@ -27,7 +27,7 @@ class MorselSource;
 ///
 /// A capacity-1 consumer (the NonEmpty first-witness pull) switches the
 /// operator to row-at-a-time admission and evaluation, preserving the
-/// volcano engine's guarantee that exactly w+1 rows are admitted when the
+/// first-witness guarantee that exactly w+1 rows are admitted when the
 /// witness sits at row w. Pruned segments are still admitted in bulk —
 /// they provably cannot contain the witness, and the row path would scan
 /// straight past those rows anyway.

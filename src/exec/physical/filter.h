@@ -33,7 +33,8 @@ class FilterOp : public PhysicalOperator {
 
 /// π_cols with streaming dedup (set semantics: duplicates collapse). Each
 /// fresh output tuple is one dedup-set insertion and therefore one
-/// materialization admission, as in the volcano engine.
+/// materialization admission; a duplicate is never charged, at any batch
+/// size.
 ///
 /// With a shared seen-set (parallel workers) freshness is decided against
 /// the global ShardedTupleSet, so the same tuple reached through two

@@ -62,9 +62,9 @@ HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
 }
 
 Status HashJoinOp::Open() {
-  // The probe side opens first, the build side is drained second —
-  // the same order the volcano engine constructs its iterator tree in,
-  // so nested blocking edges admit resources in the same sequence.
+  // The probe side opens first, the build side is drained second, in
+  // the same order at every batch size, so nested blocking edges admit
+  // resources in one fixed sequence and a budget trips on the same row.
   PhysicalOperator* probe = build_left_ ? right_.get() : left_.get();
   PhysicalOperator* build = build_left_ ? left_.get() : right_.get();
   BRYQL_RETURN_NOT_OK(probe->Open());

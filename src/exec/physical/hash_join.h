@@ -57,7 +57,8 @@ class ProductOp : public PhysicalOperator {
 /// multimap of build rows for variants that need partner values, a key set
 /// for pure membership tests); the probe side streams in batches, and
 /// each probe row's key is hashed and compared in place. Partners come
-/// out in build order, as in the volcano engine.
+/// out in build (insertion) order, so the output row order, and with it
+/// which row a first-witness pull stops at, is fixed at every batch size.
 ///
 /// `build_left` (inner joins only) puts the left input on the build side
 /// when the lowering's cost model estimates it smaller; output column

@@ -48,15 +48,17 @@ struct PhysicalContext {
 ///                 An OK status with an *empty* batch means exhausted.
 ///                 Operators honour the requested capacity and request no
 ///                 more than that from their children, so a capacity-1
-///                 pull (the non-emptiness test) keeps the volcano
-///                 engine's first-witness guarantees.
+///                 pull (the non-emptiness test) admits no row past the
+///                 first witness.
 ///   Close()     — release state; optional.
 ///
-/// Resource governance mirrors the volcano engine admission-for-admission:
-/// base reads pass AdmitScan, intermediate insertions AdmitMaterialize,
-/// and inner loops Tick. Because NextBatch returns Status (unlike the
-/// bool-returning volcano Next), a tripped governor surfaces directly as
-/// the governor's latched Status instead of masquerading as exhaustion.
+/// Resource governance is independent of the batch size: each base read
+/// passes AdmitScan and each intermediate insertion AdmitMaterialize,
+/// once per row at every capacity, and inner loops Tick, so a plan makes
+/// the same admissions and counts the same work whether it runs at batch
+/// size 1 or 1024. Because NextBatch returns Status, a tripped governor
+/// surfaces directly as the governor's latched Status instead of
+/// masquerading as exhaustion.
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
@@ -124,9 +126,9 @@ class BatchCursor {
 };
 
 /// Drain helpers used by blocking edges of a plan (hash builds, sort
-/// inputs, division inputs). Each mirrors the volcano engine's admission
-/// and fault-injection pattern for the same edge, so batched and
-/// tuple-at-a-time runs trip the governor on the same tuple.
+/// inputs, division inputs). Each admits and hits its failpoint once per
+/// row, so a run trips the governor on the same tuple at every batch
+/// size.
 
 /// Fully drains `child` into a relation: every tuple is admitted as a
 /// materialization, fresh insertions are counted ("exec.materialize.insert"

@@ -119,8 +119,8 @@ class TimedOp : public PhysicalOperator {
 Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                                          size_t depth) {
   // Operator instantiation: fault-injection site, plan-depth admission,
-  // and a deadline/cancellation poll before any child work starts — the
-  // same protocol as the volcano engine's iterator construction.
+  // and a deadline/cancellation poll before any child work starts, once
+  // per node whatever the batch size.
   BRYQL_FAILPOINT("exec.iterator.open");
   GovernorDepthGuard depth_guard(ctx_.governor);
   if (!depth_guard.ok()) return ctx_.governor->status();

@@ -16,7 +16,7 @@ namespace bryql {
 /// drives it. A PlanRuntime is per-run state: the same (cached) plan can be
 /// handed to many runtimes, each with its own governor and stats sink.
 ///
-/// Instantiation mirrors the volcano engine's iterator construction: the
+/// Instantiation follows one protocol whatever the batch size: the
 /// "exec.iterator.open" failpoint and a plan-depth admission fire per node,
 /// "exec.scan.open" per base-table scan, and every operator is wrapped in a
 /// timing decorator feeding ExecStats::operator_stats.

@@ -63,7 +63,7 @@ class IndexScanOp : public PhysicalOperator {
 
 /// Streams an owned relation (sort-merge results, division results,
 /// boolean sub-evaluations). Reads from intermediates are not counted as
-/// base-table scans, matching the volcano engine.
+/// base-table scans: `scanned` counts base-relation reads only.
 class RelationSourceOp : public PhysicalOperator {
  public:
   explicit RelationSourceOp(Relation rel) : rel_(std::move(rel)) {}

@@ -209,13 +209,13 @@ void QueryService::RecordLatency(std::chrono::nanoseconds elapsed) {
 }
 
 Result<Execution> QueryService::RunAttempt(
-    const ServiceRequest& request,
+    const ServiceRequest& request, Strategy strategy,
     const QueryOptions& attempt_options) const {
   // Backstop for throws outside the engine's own operator barrier
   // (parser, rewriter, allocator failures in glue code): the service
   // never lets an exception reach the caller's frame.
   try {
-    return processor_->Run(request.text, request.strategy, attempt_options);
+    return processor_->Run(request.text, strategy, attempt_options);
   } catch (const std::bad_alloc&) {
     return Status::ContainedException(
         "query evaluation ran out of memory (bad_alloc)");
@@ -287,13 +287,18 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
       attempt_options.bypass_plan_cache = true;
       degraded_cache_bypass_.fetch_add(1, std::memory_order_relaxed);
     }
+    // The last rung leaves the algebra pipeline altogether: the Figure 1
+    // nested loop interprets the calculus tuple at a time and passes no
+    // exec.* site, so a fault anywhere in lowering or the batched
+    // operators cannot follow it there.
+    Strategy strategy = request.strategy;
     if (level >= 3) {
-      attempt_options.force_tuple_engine = true;
+      strategy = Strategy::kNestedLoop;
       degraded_tuple_engine_.fetch_add(1, std::memory_order_relaxed);
     }
 
     const auto attempt_start = std::chrono::steady_clock::now();
-    Result<Execution> run = RunAttempt(request, attempt_options);
+    Result<Execution> run = RunAttempt(request, strategy, attempt_options);
     if (run.ok()) {
       RecordLatency(std::chrono::steady_clock::now() - attempt_start);
       ServiceReply reply;
@@ -301,6 +306,13 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
       reply.attempts = attempt + 1;
       reply.degradation_level = level;
       outcome = std::move(reply);
+      break;
+    }
+    if (level >= 3 && run.status().code() == StatusCode::kUnsupported) {
+      // The nested loop refuses queries outside Definition 2. That
+      // refusal says nothing about the request, which the batched rungs
+      // accepted: end on their last error, and do not retry a refusal
+      // that every further attempt would repeat.
       break;
     }
     last = run.status();

@@ -87,8 +87,9 @@ struct ServiceReply {
   /// Attempts consumed (1 = first try succeeded).
   size_t attempts = 1;
   /// Degradation-ladder rung of the successful attempt: 0 = as
-  /// requested, 1 = serial, 2 = serial + plan-cache bypass, 3 = serial +
-  /// cache bypass + tuple-at-a-time engine.
+  /// requested, 1 = serial, 2 = serial + plan-cache bypass, 3 = the
+  /// tuple-at-a-time nested loop (Strategy::kNestedLoop, which
+  /// execution.strategy then names).
   int degradation_level = 0;
 };
 
@@ -112,7 +113,7 @@ struct ServiceStats {
   /// barrier-contained kInternal — Status::IsContainedException()).
   size_t transient_failures = 0;
   /// Attempts run at each degradation rung (an attempt at rung 3 counts
-  /// in all three).
+  /// in all three). degraded_tuple_engine counts nested-loop attempts.
   size_t degraded_serial = 0;
   size_t degraded_cache_bypass = 0;
   size_t degraded_tuple_engine = 0;
@@ -140,9 +141,13 @@ struct ServiceStats {
 ///     transient error class (kTransient injections, exception-barrier
 ///     kInternal), honouring the request deadline across attempts;
 ///   * a graceful-degradation ladder: each retry steps down
-///     parallel → serial → plan-cache bypass → tuple-at-a-time engine,
-///     and new work starts one rung down while the queue is congested —
-///     trading speed for survivability exactly when that trade is right;
+///     parallel → serial → plan-cache bypass → the Figure 1 nested
+///     loop, which evaluates the calculus directly and shares no code
+///     with the translators, the lowering or the batched operators; new
+///     work starts one rung down while the queue is congested —
+///     trading speed for survivability exactly when that trade is right.
+///     The nested loop refuses queries outside Definition 2; such a
+///     refusal ends the ladder with the last batched error;
 ///   * an exception backstop: any throw escaping the evaluation pipeline
 ///     (the engine's own barrier already contains operator throws)
 ///     becomes a well-formed kInternal, never a dead process.
@@ -205,6 +210,7 @@ class QueryService {
   /// One evaluation attempt at a degradation rung, with the exception
   /// backstop.
   Result<Execution> RunAttempt(const ServiceRequest& request,
+                               Strategy strategy,
                                const QueryOptions& attempt_options) const;
 
   void RecordLatency(std::chrono::nanoseconds elapsed);

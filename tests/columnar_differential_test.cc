@@ -128,7 +128,7 @@ TEST_P(ColumnarDifferentialTest, BudgetsTripIdentically) {
 /// The service degradation ladder drives the same prepared plans through
 /// progressively simpler execution modes. Each rung must preserve the
 /// row/columnar agreement — including the last rung, which abandons the
-/// batched engine (and with it the columnar path) entirely.
+/// algebra (and with it the columnar path) for the nested loop.
 TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   QueryProcessor columnar_qp(&db_);
   QueryProcessor row_qp(&db_);
@@ -136,28 +136,39 @@ TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
 
   struct Rung {
     const char* label;
+    Strategy strategy;
     QueryOptions options;
   };
   std::vector<Rung> ladder;
   QueryOptions parallel;
   parallel.num_threads = 2;
-  ladder.push_back({"parallel", parallel});
-  ladder.push_back({"serial", QueryOptions{}});
+  ladder.push_back({"parallel", Strategy::kBry, parallel});
+  ladder.push_back({"serial", Strategy::kBry, QueryOptions{}});
   QueryOptions bypass;
   bypass.bypass_plan_cache = true;
-  ladder.push_back({"bypass-cache", bypass});
-  QueryOptions tuple_engine;
-  tuple_engine.force_tuple_engine = true;
-  ladder.push_back({"tuple-engine", tuple_engine});
+  ladder.push_back({"bypass-cache", Strategy::kBry, bypass});
+  ladder.push_back({"nested-loop", Strategy::kNestedLoop, bypass});
+
+  // Every rung must also give the serial row path's answer, so the last
+  // rung, which shares no code with the others, is checked against them.
+  const std::vector<NamedQuery> suite = PaperQuerySuite();
+  std::vector<Execution> serial;
+  for (const NamedQuery& nq : suite) {
+    auto exec = row_qp.Run(nq.text, Strategy::kBry);
+    ASSERT_TRUE(exec.ok()) << nq.name << ": " << exec.status();
+    serial.push_back(std::move(*exec));
+  }
 
   for (const Rung& rung : ladder) {
-    for (const NamedQuery& nq : PaperQuerySuite()) {
+    for (size_t i = 0; i < suite.size(); ++i) {
+      const NamedQuery& nq = suite[i];
       const std::string label = nq.name + " [" + rung.label + "]";
-      auto row = row_qp.Run(nq.text, Strategy::kBry, rung.options);
-      auto col = columnar_qp.Run(nq.text, Strategy::kBry, rung.options);
+      auto row = row_qp.Run(nq.text, rung.strategy, rung.options);
+      auto col = columnar_qp.Run(nq.text, rung.strategy, rung.options);
       ASSERT_TRUE(row.ok()) << label << ": " << row.status();
       ASSERT_TRUE(col.ok()) << label << ": " << col.status();
       ExpectSameAnswer(*row, *col, label);
+      ExpectSameAnswer(serial[i], *col, label + " vs serial row path");
     }
   }
 }

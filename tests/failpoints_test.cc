@@ -192,12 +192,11 @@ TEST_F(FailpointsTest, ThrowSiteIsContainedAsInternalWithOperatorName) {
       << exec.status();
   EXPECT_NE(exec.status().message().find("threw"), std::string::npos)
       << exec.status();
-  // The volcano engine has no physical-operator dispatch, so the site is
-  // off its path — the degradation ladder's escape hatch.
-  QueryOptions tuple_options;
-  tuple_options.force_tuple_engine = true;
-  auto volcano = qp.Run(kFullPipelineQuery, Strategy::kBry, tuple_options);
-  EXPECT_TRUE(volcano.ok()) << volcano.status();
+  // The nested loop interprets the calculus with no physical-operator
+  // dispatch, so the site is off its path — the degradation ladder's
+  // escape hatch.
+  auto nested = qp.Run(kFullPipelineQuery, Strategy::kNestedLoop);
+  EXPECT_TRUE(nested.ok()) << nested.status();
 }
 
 TEST_F(FailpointsTest, ProbabilisticScheduleIsSeedDeterministic) {

@@ -116,18 +116,6 @@ TEST(LoweringTest, CostModelPutsSmallerInputOnBuildSide) {
   EXPECT_FALSE(tie->build_left);
 }
 
-TEST(LoweringTest, BuildSidePolicyCanBeDisabled) {
-  Database db = TwoTables();
-  ExecOptions options;
-  options.cost_based_build_side = false;
-  auto plan = Lower(db,
-                    Expr::Join(Expr::Scan("small"), Expr::Scan("big"),
-                               {{0, 0}}, nullptr),
-                    options);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_FALSE(plan->build_left);
-}
-
 TEST(LoweringTest, JoinAlgorithmOptionSelectsSortMerge) {
   Database db = TwoTables();
   ExecOptions options;

@@ -1,10 +1,11 @@
-// Differential testing of the prepared/batched path against the original
-// single-shot tuple-at-a-time path: the whole paper query suite over
-// randomized databases must produce identical relations, and under a
-// resource budget both paths must trip with the identical Status. Also
-// covers the prepared-query contract itself: the second run of a query
-// does zero parse/rewrite/translate/lower work, and the LRU plan cache
-// behaves as one.
+// Differential testing of the prepared/batched path: over randomized
+// databases the whole paper query suite must give the Figure 1 nested
+// loop's answers, through Run and through Prepare/Execute alike; and
+// under a resource budget, batch size 1 and the default batch size must
+// reach the same verdict with identical counters. Also covers the
+// prepared-query contract itself: the second run of a query does zero
+// parse/rewrite/translate/lower work, and the LRU plan cache behaves as
+// one.
 
 #include <gtest/gtest.h>
 
@@ -28,12 +29,6 @@ UniversityConfig SmallConfig(uint64_t seed) {
   return config;
 }
 
-ExecOptions VolcanoOptions() {
-  ExecOptions options;
-  options.mode = ExecOptions::Mode::kTupleAtATime;
-  return options;
-}
-
 void ExpectSameAnswer(const Execution& a, const Execution& b,
                       const std::string& label) {
   ASSERT_EQ(a.answer.closed, b.answer.closed) << label;
@@ -47,42 +42,46 @@ void ExpectSameAnswer(const Execution& a, const Execution& b,
 class PreparedDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-/// The headline differential: old path vs. new path, whole suite,
-/// randomized databases, the strategies with a real algebra pipeline.
-TEST_P(PreparedDifferentialTest, SuiteAgreesAcrossEngines) {
+/// The headline differential: the nested loop, which evaluates the
+/// calculus with no translator or lowering in between, against the
+/// batched path, whole suite, randomized databases, the strategies with a
+/// real algebra pipeline.
+TEST_P(PreparedDifferentialTest, SuiteAgreesWithNestedLoop) {
   Database db = MakeUniversity(SmallConfig(GetParam()));
-  QueryProcessor volcano_qp(&db);
-  volcano_qp.SetExecOptions(VolcanoOptions());
-  QueryProcessor batched_qp(&db);
+  QueryProcessor qp(&db);
 
-  for (Strategy s : {Strategy::kBry, Strategy::kClassical}) {
-    for (const NamedQuery& nq : PaperQuerySuite()) {
-      auto old_path = volcano_qp.Run(nq.text, s);
-      ASSERT_TRUE(old_path.ok()) << nq.name << ": " << old_path.status();
+  for (const NamedQuery& nq : PaperQuerySuite()) {
+    auto oracle = qp.Run(nq.text, Strategy::kNestedLoop);
+    ASSERT_TRUE(oracle.ok()) << nq.name << ": " << oracle.status();
+    for (Strategy s : {Strategy::kBry, Strategy::kClassical}) {
+      const std::string label = nq.name + " [" + StrategyName(s) + "]";
 
-      // New path, single-shot Run (lower + batched execute).
-      auto run = batched_qp.Run(nq.text, s);
-      ASSERT_TRUE(run.ok()) << nq.name << ": " << run.status();
-      ExpectSameAnswer(*old_path, *run, nq.name + " via Run");
+      // Single-shot Run (lower + batched execute).
+      auto run = qp.Run(nq.text, s);
+      ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+      ExpectSameAnswer(*oracle, *run, label + " via Run");
 
-      // New path, explicit Prepare → Execute.
-      auto prepared = batched_qp.Prepare(nq.text, s);
-      ASSERT_TRUE(prepared.ok()) << nq.name << ": " << prepared.status();
-      auto exec = batched_qp.Execute(*prepared);
-      ASSERT_TRUE(exec.ok()) << nq.name << ": " << exec.status();
-      ExpectSameAnswer(*old_path, *exec, nq.name + " via Prepare/Execute");
+      // Explicit Prepare → Execute.
+      auto prepared = qp.Prepare(nq.text, s);
+      ASSERT_TRUE(prepared.ok()) << label << ": " << prepared.status();
+      auto exec = qp.Execute(*prepared);
+      ASSERT_TRUE(exec.ok()) << label << ": " << exec.status();
+      ExpectSameAnswer(*oracle, *exec, label + " via Prepare/Execute");
     }
   }
 }
 
-/// Governor parity: for any one budget, both engines must reach the same
-/// verdict — both succeed with equal answers, or both trip with the same
-/// StatusCode. The batched operators mirror the volcano engine's
-/// admissions, so a budget that stops one stops the other.
-TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossEngines) {
+/// Governor parity across batch sizes: for any one budget, batch size 1
+/// and the default batch size must reach the same verdict — both succeed
+/// with equal answers and identical counters, or both trip with the same
+/// StatusCode. Every operator admits once per row at any capacity, so a
+/// budget that stops one run stops the other on the same row.
+TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossBatchSizes) {
   Database db = MakeUniversity(SmallConfig(GetParam()));
-  QueryProcessor volcano_qp(&db);
-  volcano_qp.SetExecOptions(VolcanoOptions());
+  QueryProcessor size1_qp(&db);
+  ExecOptions size1;
+  size1.batch_size = 1;
+  size1_qp.SetExecOptions(size1);
   QueryProcessor batched_qp(&db);
 
   struct Budget {
@@ -90,6 +89,7 @@ TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossEngines) {
     QueryOptions options;
   };
   std::vector<Budget> budgets;
+  budgets.push_back({"no", QueryOptions{}});
   for (size_t cap : {3u, 25u, 400u}) {
     QueryOptions scan;
     scan.max_scanned_tuples = cap;
@@ -101,20 +101,19 @@ TEST_P(PreparedDifferentialTest, BudgetTripsIdenticallyAcrossEngines) {
 
   for (const Budget& budget : budgets) {
     for (const NamedQuery& nq : PaperQuerySuite()) {
-      auto old_path = volcano_qp.Run(nq.text, Strategy::kBry,
-                                     budget.options);
-      auto new_path = batched_qp.Run(nq.text, Strategy::kBry,
-                                     budget.options);
+      auto tiny = size1_qp.Run(nq.text, Strategy::kBry, budget.options);
+      auto big = batched_qp.Run(nq.text, Strategy::kBry, budget.options);
       const std::string label = nq.name + " [" + budget.label + " cap]";
-      ASSERT_EQ(old_path.ok(), new_path.ok())
-          << label << ": volcano=" << old_path.status()
-          << " batched=" << new_path.status();
-      if (old_path.ok()) {
-        ExpectSameAnswer(*old_path, *new_path, label);
+      ASSERT_EQ(tiny.ok(), big.ok())
+          << label << ": size1=" << tiny.status()
+          << " size" << kDefaultBatchSize << "=" << big.status();
+      if (tiny.ok()) {
+        ExpectSameAnswer(*tiny, *big, label);
+        EXPECT_EQ(tiny->stats.ToString(), big->stats.ToString()) << label;
       } else {
-        EXPECT_EQ(old_path.status().code(), new_path.status().code())
-            << label << ": volcano=" << old_path.status()
-            << " batched=" << new_path.status();
+        EXPECT_EQ(tiny.status().code(), big.status().code())
+            << label << ": size1=" << tiny.status()
+            << " size" << kDefaultBatchSize << "=" << big.status();
       }
     }
   }

@@ -454,9 +454,9 @@ TEST_F(ServiceFailpointTest, PersistentTransientFaultExhaustsAttempts) {
 
 TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
   // exec.physical.throw fires on every batched-operator dispatch but is
-  // structurally absent from the tuple-at-a-time engine: only a service
-  // that walks the full ladder (serial → cache bypass → tuple engine)
-  // can still answer. This is the ladder's reason to exist, in one test.
+  // structurally absent from the nested loop: only a service that walks
+  // the full ladder (serial → cache bypass → nested loop) can still
+  // answer. This is the ladder's reason to exist, in one test.
   Database db = MakeUniversity(SmallConfig(3));
   QueryProcessor qp(&db);
   auto oracle = qp.Run(kOpenQuery);
@@ -472,6 +472,8 @@ TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
   ExpectSameAnswer(oracle->answer, reply->execution.answer);
   EXPECT_EQ(reply->attempts, 4u);
   EXPECT_EQ(reply->degradation_level, 3);
+  EXPECT_EQ(reply->execution.strategy, Strategy::kNestedLoop)
+      << "a degraded reply names the engine that answered";
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.degraded_tuple_engine, 1u);
   EXPECT_GE(stats.degraded_serial, 1u);
@@ -486,6 +488,42 @@ TEST_F(ServiceFailpointTest, DegradationLadderEscapesThrowSite) {
   auto stuck = undegraded.Run(kOpenQuery);
   ASSERT_FALSE(stuck.ok());
   EXPECT_EQ(stuck.status().code(), StatusCode::kTransient);
+}
+
+TEST_F(ServiceFailpointTest, LastRungShapeRefusalKeepsBatchedError) {
+  // The nested loop evaluates only Definition 2 queries; `exists x:
+  // ~student(x)` is outside it, though the classical reduction answers it
+  // through dom. When the batched rungs all fail, the last rung's
+  // kUnsupported refusal must not become the reply: the service ends on
+  // the same transient verdict it would give without that rung, carrying
+  // the last batched error.
+  Database db = MakeUniversity(SmallConfig(3));
+  QueryProcessor qp(&db);
+  const char* outside = "exists x: ~student(x)";
+  ASSERT_TRUE(qp.Run(outside, Strategy::kClassical).ok());
+  auto refusal = qp.Run(outside, Strategy::kNestedLoop);
+  ASSERT_FALSE(refusal.ok());
+  ASSERT_EQ(refusal.status().code(), StatusCode::kUnsupported);
+
+  failpoints::Arm("exec.physical.throw", Status::Internal("operator bomb"));
+  ServiceOptions options;
+  options.retry.max_attempts = 4;
+  options.retry.initial_backoff = 100us;
+  QueryService service(&qp, options);
+  auto reply = service.Run(outside, Strategy::kClassical);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kTransient) << reply.status();
+  EXPECT_NE(reply.status().message().find("attempts exhausted (4)"),
+            std::string::npos)
+      << reply.status();
+  EXPECT_NE(reply.status().message().find("operator bomb"),
+            std::string::npos)
+      << "the last batched error must be carried, not the refusal: "
+      << reply.status();
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.degraded_tuple_engine, 1u);
+  EXPECT_EQ(stats.transient_failures, 3u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST_F(ServiceFailpointTest, PlainInternalFailureIsNeitherRetriedNorRelabelled) {
@@ -523,10 +561,12 @@ TEST_F(ServiceFailpointTest, DeadlineBoundsRetriesAndBackoff) {
   options.retry.max_backoff = 200ms;
   QueryService service(&qp, options);
 
-  // Every engine (volcano included) opens scans, so every ladder rung
-  // fails: the request can only end by deadline or attempt exhaustion,
-  // and the deadline must win long before ten 20ms+ backoffs elapse.
+  // The batched rungs open scans and the nested loop enumerates ranges,
+  // so with both sites down every ladder rung fails: the request can
+  // only end by deadline or attempt exhaustion, and the deadline must
+  // win long before ten 20ms+ backoffs elapse.
   failpoints::Arm("exec.scan.open", Status::Transient("always down"));
+  failpoints::Arm("nestedloop.enumerate", Status::Transient("always down"));
   QueryOptions bounded;
   bounded.deadline = 60ms;
   const auto start = std::chrono::steady_clock::now();
