@@ -3,7 +3,8 @@
 #   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
 #      benchmarks use; the columnar kernels' real codegen), plus one
 #      short smoke pass each of bench_integrity, of bench_end_to_end's
-#      bry cases and of bench_prepared's engine cases,
+#      bry cases and of bench_prepared's engine cases, and a check that
+#      scripts/bench_compare.py flags a moved counter in the first's report,
 #   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
 #      suite — every other build defines NDEBUG, so this is the one where
 #      the program's asserts and the standard library's bounds checks
@@ -31,7 +32,25 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 # One short pass of the E17 bench; it aborts on a wrong constraint verdict.
-./build/bench/bench_integrity --benchmark_min_time=0.01 >/dev/null
+./build/bench/bench_integrity --benchmark_min_time=0.01 \
+  --benchmark_format=json >build/bench_integrity.json
+# bench_compare.py on that report: against itself it must exit 0, against
+# a copy with one counter moved it must exit 1.
+python3 scripts/bench_compare.py build/bench_integrity.json \
+  build/bench_integrity.json >/dev/null
+python3 - build/bench_integrity.json build/bench_tampered.json <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+next(b for b in doc["benchmarks"] if "scanned" in b)["scanned"] += 1
+json.dump(doc, open(sys.argv[2], "w"))
+PY
+status=0
+python3 scripts/bench_compare.py build/bench_integrity.json \
+  build/bench_tampered.json >/dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "bench_compare.py exited $status on a tampered counter, not 1" >&2
+  exit 1
+fi
 # One short pass of the E9 bry cases; each aborts unless its answer
 # equals the nested loop's.
 ./build/bench/bench_end_to_end --benchmark_filter=BM_EndToEnd_Bry \

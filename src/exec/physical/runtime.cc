@@ -182,7 +182,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       }
       ++ctx_.stats->hash_probes;
       op = PhysicalOpPtr(new IndexScanOp(
-          rel, &rel->Matches(node->index_column, node->index_value),
+          rel, rel->Matches(node->index_column, node->index_value),
           node->predicate, ctx_, morsels));
       break;
     }

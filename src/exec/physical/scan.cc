@@ -35,7 +35,7 @@ Status IndexScanOp::NextBatch(TupleBatch* out) {
       if (!Advance(morsels_, &index_, &limit_)) break;
     }
     if (!ctx_.governor->AdmitScan()) return ctx_.governor->status();
-    const Tuple& row = rel_->rows()[(*matches_)[index_++]];
+    const Tuple& row = rel_->rows()[matches_[index_++]];
     ++ctx_.stats->tuples_scanned;
     if (residual_ == nullptr ||
         residual_->Eval(row, &ctx_.stats->comparisons)) {

@@ -1,6 +1,8 @@
 #ifndef BRYQL_EXEC_PHYSICAL_SCAN_H_
 #define BRYQL_EXEC_PHYSICAL_SCAN_H_
 
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,18 +44,18 @@ class TableScanOp : public PhysicalOperator {
 /// workers.
 class IndexScanOp : public PhysicalOperator {
  public:
-  IndexScanOp(const Relation* rel, const std::vector<size_t>* matches,
+  IndexScanOp(const Relation* rel, std::span<const uint32_t> matches,
               PredicatePtr residual, PhysicalContext ctx,
               MorselSource* morsels = nullptr)
       : rel_(rel), matches_(matches), residual_(std::move(residual)),
         ctx_(ctx), morsels_(morsels),
-        limit_(morsels == nullptr ? matches->size() : 0) {}
+        limit_(morsels == nullptr ? matches.size() : 0) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
   const Relation* rel_;
-  const std::vector<size_t>* matches_;
+  std::span<const uint32_t> matches_;  // rel_->Matches(...), read-only
   PredicatePtr residual_;
   PhysicalContext ctx_;
   MorselSource* morsels_;

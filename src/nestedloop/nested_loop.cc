@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "algebra/predicate.h"  // CompareValues
 #include "calculus/range_analysis.h"
@@ -220,25 +221,24 @@ class Interpreter {
         }
         // When an argument is already bound and its column is indexed,
         // loop only over the matching rows.
-        const std::vector<size_t>* index_rows = nullptr;
+        std::optional<std::span<const uint32_t>> index_rows;
         for (size_t i = 0; i < f->terms().size(); ++i) {
           if (!rel->HasIndex(i)) continue;
           std::optional<Value> bound = Resolve(f->terms()[i], env);
           if (!bound) continue;
           ++stats_->hash_probes;
-          index_rows = &rel->Matches(i, *bound);
+          index_rows = rel->Matches(i, *bound);
           break;
         }
         size_t row_count =
-            index_rows != nullptr ? index_rows->size() : rel->rows().size();
+            index_rows ? index_rows->size() : rel->rows().size();
         for (size_t r = 0; r < row_count; ++r) {
           // Innermost loop of the whole Figure 1 interpreter: every row of
           // every loop level passes through here, so the admission check
           // bounds total work regardless of nesting depth.
           if (!governor_->AdmitScan()) return governor_->status();
-          const Tuple& row = index_rows != nullptr
-                                 ? rel->rows()[(*index_rows)[r]]
-                                 : rel->rows()[r];
+          const Tuple& row = index_rows ? rel->rows()[(*index_rows)[r]]
+                                        : rel->rows()[r];
           ++stats_->tuples_scanned;
           std::vector<std::string> newly_bound;
           bool match = true;

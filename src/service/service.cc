@@ -264,6 +264,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
   Result<ServiceReply> outcome =
       Status::Internal("service attempt loop never ran");
   Status last;
+  size_t attempts_run = 0;
   for (size_t attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     const int level =
         options_.enable_degradation
@@ -299,6 +300,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
 
     const auto attempt_start = std::chrono::steady_clock::now();
     Result<Execution> run = RunAttempt(request, strategy, attempt_options);
+    ++attempts_run;
     if (run.ok()) {
       RecordLatency(std::chrono::steady_clock::now() - attempt_start);
       ServiceReply reply;
@@ -351,10 +353,12 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
   failed_.fetch_add(1, std::memory_order_relaxed);
   if (Retryable(last)) {
     // The fault class the service is *for*: report one uniform transient
-    // verdict ("try again later") carrying the last underlying error.
-    return Status::Transient(
-        "attempts exhausted (" + std::to_string(options_.retry.max_attempts) +
-        "); last error: " + last.ToString());
+    // verdict ("try again later") carrying the last underlying error, and
+    // the attempts that ran (a deadline or a last-rung refusal can end
+    // the ladder before max_attempts).
+    return Status::Transient("attempts exhausted (" +
+                             std::to_string(attempts_run) +
+                             "); last error: " + last.ToString());
   }
   return last;
 }

@@ -18,10 +18,17 @@ int64_t PayloadOf(const Value& v, ColumnStore::Column* col) {
     case ValueKind::kDouble:
       return std::bit_cast<int64_t>(v.AsDouble());
     case ValueKind::kString: {
-      auto [it, inserted] = col->dict_codes.try_emplace(
-          v.AsString(), static_cast<int64_t>(col->dict.size()));
-      if (inserted) col->dict.push_back(v.AsString());
-      return it->second;
+      const std::string& s = v.AsString();
+      const uint32_t hash = SlotTable::Mix(v.Hash());
+      const size_t at = col->dict_codes.Find(
+          hash, [&](uint32_t code) { return col->dict[code] == s; });
+      uint32_t code = col->dict_codes.RowAt(at);
+      if (code == SlotTable::kNoRow) {
+        code = static_cast<uint32_t>(col->dict.size());
+        col->dict_codes.Place(at, hash, code);
+        col->dict.push_back(s);
+      }
+      return code;
     }
   }
   return 0;

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/slot_table.h"
 #include "common/value.h"
 #include "storage/tuple.h"
 
@@ -88,7 +88,8 @@ class ColumnStore {
     std::vector<int64_t> data;
     /// String dictionary: code -> string, in first-appearance order.
     std::vector<std::string> dict;
-    std::unordered_map<std::string, int64_t> dict_codes;
+    /// The codes of `dict`, by the hash of their string (Value::Hash).
+    SlotTable dict_codes;
     std::vector<ZoneMap> zones;
   };
   const Column& column(size_t c) const { return columns_[c]; }

@@ -18,6 +18,14 @@ Relation::Relation(const Relation& other)
   rows_ = other.rows_;
 }
 
+Relation::ColumnIndex::ColumnIndex(const ColumnIndex& other)
+    : keys(other.keys) {
+  lists.reserve(other.lists.capacity());
+  lists = other.lists;
+  positions.reserve(other.positions.capacity());
+  positions = other.positions;
+}
+
 Relation& Relation::operator=(const Relation& other) {
   if (this != &other) *this = Relation(other);
   return *this;
@@ -51,13 +59,42 @@ Result<bool> Relation::Insert(Tuple tuple) {
         "Insert: relation already holds the maximum of " +
         std::to_string(kMaxRows) + " rows");
   }
-  slots_.Place(at, hash, static_cast<uint32_t>(rows_.size()));
-  for (auto& [column, column_index] : column_indexes_) {
-    column_index[tuple.at(column)].push_back(rows_.size());
-  }
-  if (columnar_) columnar_->Append(tuple);
+  const uint32_t row = static_cast<uint32_t>(rows_.size());
+  slots_.Place(at, hash, row);
   rows_.push_back(std::move(tuple));
+  for (auto& [column, column_index] : column_indexes_) {
+    IndexRow(&column_index, column, row);
+  }
+  if (columnar_) columnar_->Append(rows_.back());
   return true;
+}
+
+void Relation::IndexRow(ColumnIndex* index, size_t column, uint32_t row) {
+  const Value& value = rows_[row].at(column);
+  const uint32_t hash = SlotTable::Mix(value.Hash());
+  const size_t at = FindKey(*index, column, value, hash);
+  const uint32_t key = index->keys.RowAt(at);
+  std::vector<uint32_t>& arena = index->positions;
+  if (key == SlotTable::kNoRow) {
+    index->keys.Place(at, hash, static_cast<uint32_t>(index->lists.size()));
+    index->lists.push_back({arena.size(), 1, row, 1});
+    arena.push_back(row);
+    return;
+  }
+  ColumnIndex::List& list = index->lists[key];
+  if (list.count == list.cap) {
+    if (list.begin + list.cap == arena.size()) {
+      arena.resize(arena.size() + list.cap);  // the list ends the arena
+    } else {
+      const size_t begin = arena.size();
+      arena.resize(begin + 2 * list.cap);
+      std::copy_n(arena.begin() + list.begin, list.count,
+                  arena.begin() + begin);
+      list.begin = begin;
+    }
+    list.cap *= 2;
+  }
+  arena[list.begin + list.count++] = row;
 }
 
 void Relation::BuildColumnStore() {
@@ -71,26 +108,58 @@ Status Relation::BuildIndex(size_t column) {
         "BuildIndex: column " + std::to_string(column) +
         " out of range for arity " + std::to_string(arity_));
   }
+  // A counting pass lays the lists out in key order: first the key of
+  // each row and the size of each key, then the positions. Each list of
+  // eight or more rows, and the arena, get an eighth more room than they
+  // hold, so the next rows of an existing key (a commit's insert into a
+  // copy of this relation) fill the list in place instead of moving it.
   ColumnIndex built;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    built[rows_[i].at(column)].push_back(i);
+  std::vector<uint32_t> key_of(rows_.size());
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    const Value& value = rows_[r].at(column);
+    const uint32_t hash = SlotTable::Mix(value.Hash());
+    const size_t at = FindKey(built, column, value, hash);
+    uint32_t key = built.keys.RowAt(at);
+    if (key == SlotTable::kNoRow) {
+      key = static_cast<uint32_t>(built.lists.size());
+      built.keys.Place(at, hash, key);
+      built.lists.push_back({0, 0, static_cast<uint32_t>(r), 0});
+    }
+    key_of[r] = key;
+    ++built.lists[key].count;
+  }
+  size_t begin = 0;
+  for (ColumnIndex::List& list : built.lists) {
+    list.begin = begin;
+    list.cap = list.count + list.count / 8;
+    begin += list.cap;
+    list.count = 0;
+  }
+  built.positions.reserve(begin + begin / 8);
+  built.positions.resize(begin);
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    ColumnIndex::List& list = built.lists[key_of[r]];
+    built.positions[list.begin + list.count++] = static_cast<uint32_t>(r);
   }
   column_indexes_[column] = std::move(built);
   return Status::Ok();
 }
 
-const std::vector<size_t>& Relation::Matches(size_t column,
-                                             const Value& value) const {
-  static const std::vector<size_t> kEmpty;
+std::span<const uint32_t> Relation::Matches(size_t column,
+                                            const Value& value) const {
   auto it = column_indexes_.find(column);
-  if (it == column_indexes_.end()) return kEmpty;
-  auto vit = it->second.find(value);
-  return vit == it->second.end() ? kEmpty : vit->second;
+  if (it == column_indexes_.end()) return {};
+  const ColumnIndex& index = it->second;
+  const uint32_t key = index.keys.RowAt(
+      FindKey(index, column, value, SlotTable::Mix(value.Hash())));
+  if (key == SlotTable::kNoRow) return {};
+  const ColumnIndex::List& list = index.lists[key];
+  return {index.positions.data() + list.begin, list.count};
 }
 
 size_t Relation::IndexKeyCount(size_t column) const {
   auto it = column_indexes_.find(column);
-  return it == column_indexes_.end() ? 0 : it->second.size();
+  return it == column_indexes_.end() ? 0 : it->second.lists.size();
 }
 
 std::vector<Tuple> Relation::SortedRows() const {

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -78,10 +78,13 @@ class Relation {
 
   /// --- secondary hash indexes -------------------------------------
   /// A per-column hash index maps a value to the row positions holding
-  /// it. Indexes are maintained incrementally by Insert. Both evaluation
-  /// engines exploit them: the streaming executor turns
-  /// σ_{col=val}(scan) into an index lookup, and the Figure 1
+  /// it, in ascending order. Indexes are maintained incrementally by
+  /// Insert. Both evaluation engines exploit them: the streaming executor
+  /// turns σ_{col=val}(scan) into an index lookup, and the Figure 1
   /// interpreter enumerates atoms through the index of a bound argument.
+  /// Keys are equal under Value ==: Int(2) and Double(2.0) are one key,
+  /// and a NaN equals nothing, so each NaN row is a key of its own that
+  /// no lookup finds.
 
   /// Builds (or rebuilds) the index on `column`; kInvalidArgument when
   /// `column` is out of range for this arity.
@@ -89,11 +92,12 @@ class Relation {
   bool HasIndex(size_t column) const {
     return column_indexes_.count(column) != 0;
   }
-  /// Row positions whose `column` equals `value`. Empty when none match —
-  /// or when no index exists on `column`, so callers that forgot
-  /// BuildIndex degrade to "no index hits", not undefined behaviour.
-  const std::vector<size_t>& Matches(size_t column,
-                                     const Value& value) const;
+  /// Row positions whose `column` equals `value`, ascending. Empty when
+  /// none match — or when no index exists on `column`, so callers that
+  /// forgot BuildIndex degrade to "no index hits", not undefined
+  /// behaviour. The span is valid until the next Insert into this
+  /// relation.
+  std::span<const uint32_t> Matches(size_t column, const Value& value) const;
   /// Distinct values in the index on `column` (0 without an index).
   size_t IndexKeyCount(size_t column) const;
 
@@ -109,8 +113,43 @@ class Relation {
   const ColumnStore* column_store() const { return columnar_.get(); }
 
  private:
-  using ColumnIndex = std::unordered_map<Value, std::vector<size_t>,
-                                         ValueHash>;
+  /// The index on one column. Key ids are found by value hash in `keys`;
+  /// key id k holds the value of rows()[lists[k].row].at(column) and its
+  /// row positions positions[begin, begin + count), ascending, in an
+  /// arena shared by every key. BuildIndex lays the lists out with an
+  /// eighth of headroom; a list that is full moves to the arena's end
+  /// with twice its capacity (or grows in place when it already ends the
+  /// arena), so the dead space it leaves behind is at most its live
+  /// capacity. Copying an index copies three arrays.
+  struct ColumnIndex {
+    struct List {
+      size_t begin = 0;
+      size_t cap = 0;
+      uint32_t row = 0;  // a row holding the key's value: its first
+      uint32_t count = 0;
+    };
+    ColumnIndex() = default;
+    /// Keeps the source's spare capacity, as the row store does.
+    ColumnIndex(const ColumnIndex& other);
+    ColumnIndex& operator=(const ColumnIndex&) = delete;
+    ColumnIndex(ColumnIndex&&) = default;
+    ColumnIndex& operator=(ColumnIndex&&) = default;
+
+    SlotTable keys;
+    std::vector<List> lists;  // by key id
+    std::vector<uint32_t> positions;
+  };
+
+  /// The slot of `value`'s key in the index on `column`, or the free slot
+  /// where it would go.
+  size_t FindKey(const ColumnIndex& index, size_t column, const Value& value,
+                 uint32_t hash) const {
+    return index.keys.Find(hash, [&](uint32_t key) {
+      return rows_[index.lists[key].row].at(column) == value;
+    });
+  }
+  /// Files row `row` (the last of rows()) under its value in `*index`.
+  void IndexRow(ColumnIndex* index, size_t column, uint32_t row);
 
   static constexpr size_t kMaxRows = SlotTable::kMaxRows;
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -103,6 +104,108 @@ TEST(ColumnStoreTest, RelationCopyDeepCopiesStore) {
                   );
   EXPECT_EQ(rel.column_store()->rows(), 6u);
   EXPECT_EQ(copy.column_store()->rows(), 5u);
+}
+
+/// Checks `rel`'s column store against its rows: ValueAt equals rows()
+/// everywhere, and column `c`'s strings are coded in first-appearance
+/// order (the k-th distinct string of the column gets code k).
+void ExpectStoreMatchesRows(const Relation& rel, size_t c) {
+  const ColumnStore* store = rel.column_store();
+  ASSERT_NE(store, nullptr);
+  ASSERT_EQ(store->rows(), rel.size());
+  const ColumnStore::Column& col = store->column(c);
+  std::vector<std::string> first_seen;
+  for (size_t r = 0; r < rel.size(); ++r) {
+    for (size_t k = 0; k < store->arity(); ++k) {
+      ASSERT_EQ(store->ValueAt(k, r), rel.rows()[r].at(k))
+          << "row " << r << " col " << k;
+    }
+    const Value& v = rel.rows()[r].at(c);
+    if (v.kind() != ValueKind::kString) continue;
+    auto it = std::find(first_seen.begin(), first_seen.end(), v.AsString());
+    const size_t code = static_cast<size_t>(it - first_seen.begin());
+    if (it == first_seen.end()) first_seen.push_back(v.AsString());
+    ASSERT_EQ(col.data[r], static_cast<int64_t>(code)) << "row " << r;
+  }
+  EXPECT_EQ(col.dict, first_seen);
+}
+
+TEST(ColumnStoreTest, DictionaryCodesFollowFirstAppearance) {
+  // 3000 distinct strings take the dictionary's slot table through many
+  // growths; every string then appears again, mixed with new ones, and
+  // must keep the code it was given first.
+  Relation rel(2);
+  rel.BuildColumnStore();
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(*rel.Insert(Tuple({Value::String("k" + std::to_string(i)),
+                                   Value::Int(0)})));
+  }
+  for (int i = 2999; i >= 0; --i) {
+    ASSERT_TRUE(*rel.Insert(Tuple({Value::String("k" + std::to_string(i)),
+                                   Value::Int(1)})));
+    ASSERT_TRUE(*rel.Insert(Tuple({Value::String("n" + std::to_string(i)),
+                                   Value::Int(1)})));
+  }
+  ASSERT_TRUE(*rel.Insert(Tuple({Value::Null(), Value::Int(2)})));
+  EXPECT_EQ(rel.column_store()->column(0).dict.size(), 6000u);
+  ExpectStoreMatchesRows(rel, 0);
+  // Rebuilding from the rows assigns the same codes.
+  Relation rebuilt = rel;
+  rebuilt.BuildColumnStore();
+  EXPECT_EQ(rebuilt.column_store()->column(0).data,
+            rel.column_store()->column(0).data);
+}
+
+TEST(ColumnStoreTest, CopiedDictionariesDivergeIndependently) {
+  std::mt19937_64 rng(11);
+  Relation source(2);
+  source.BuildColumnStore();
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(source
+                    .Insert(Tuple({Value::String("s" + std::to_string(
+                                                           rng() % 300)),
+                                   Value::Int(i)}))
+                    .ok());
+  }
+  Relation copy = source;
+  const size_t shared = source.column_store()->column(0).dict.size();
+  // Each side appends strings the other never sees, and strings both
+  // already hold.
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(source
+                    .Insert(Tuple({Value::String("src" + std::to_string(i)),
+                                   Value::Int(1000 + i)}))
+                    .ok());
+    ASSERT_TRUE(copy.Insert(Tuple({Value::String("cpy" + std::to_string(i)),
+                                   Value::Int(1000 + i)}))
+                    .ok());
+    ASSERT_TRUE(copy.Insert(Tuple({Value::String("s" + std::to_string(
+                                                          rng() % 300)),
+                                   Value::Int(2000 + i)}))
+                    .ok());
+    if (i % 97 == 0) {
+      ExpectStoreMatchesRows(source, 0);
+      ExpectStoreMatchesRows(copy, 0);
+    }
+  }
+  ExpectStoreMatchesRows(source, 0);
+  ExpectStoreMatchesRows(copy, 0);
+  const std::vector<std::string>& src_dict =
+      source.column_store()->column(0).dict;
+  const std::vector<std::string>& cpy_dict =
+      copy.column_store()->column(0).dict;
+  EXPECT_EQ(src_dict.size(), shared + 400);
+  EXPECT_TRUE(std::equal(src_dict.begin(), src_dict.begin() + shared,
+                         cpy_dict.begin()));
+  EXPECT_EQ(src_dict[shared], "src0");
+  EXPECT_EQ(cpy_dict[shared], "cpy0");
+  auto has_prefix = [](const std::vector<std::string>& dict, const char* p) {
+    return std::any_of(dict.begin(), dict.end(), [&](const std::string& s) {
+      return s.rfind(p, 0) == 0;
+    });
+  };
+  EXPECT_FALSE(has_prefix(src_dict, "cpy"));
+  EXPECT_FALSE(has_prefix(cpy_dict, "src"));
 }
 
 /// Random values drawn from a pool small enough that predicates hit.

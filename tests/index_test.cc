@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/query_processor.h"
 #include "exec/executor.h"
 #include "nestedloop/nested_loop.h"
@@ -62,8 +72,8 @@ TEST(RelationIndexTest, InsertAfterBuildIndexIsProbeVisible) {
   Relation rebuilt = rel;
   rebuilt.BuildIndex(1);
   for (int v = 0; v < 10; ++v) {
-    EXPECT_EQ(rel.Matches(1, Value::Int(v)),
-              rebuilt.Matches(1, Value::Int(v)))
+    EXPECT_TRUE(std::ranges::equal(rel.Matches(1, Value::Int(v)),
+                                   rebuilt.Matches(1, Value::Int(v))))
         << v;
   }
 }
@@ -74,6 +84,227 @@ TEST(RelationIndexTest, RowPositionsAreValid) {
   for (const size_t pos : rel.Matches(0, Value::Int(7))) {
     EXPECT_EQ(rel.rows()[pos].at(0), Value::Int(7));
   }
+}
+
+// --- the flat index against a reference map ----------------------------
+
+/// Every kind a column index must key: Int, Double (integral ones equal to
+/// the Int of the same number, so Int(2) and Double(2.0) share a key),
+/// String, NaN, ∅ and ⊥, from a pool small enough that keys repeat.
+Value PoolValue(std::mt19937_64* rng) {
+  const int64_t k = static_cast<int64_t>((*rng)() % 12);
+  switch ((*rng)() % 8) {
+    case 0:
+    case 1:
+      return Value::Int(k);
+    case 2:
+      return Value::Double(static_cast<double>(k));
+    case 3:
+      return Value::Double(static_cast<double>(k) + 0.5);
+    case 4:
+      return Value::String("s" + std::to_string(k));
+    case 5:
+      return Value::Double(std::nan(""));
+    case 6:
+      return Value::Null();
+    default:
+      return Value::Mark();
+  }
+}
+
+/// Values to look up: the whole pool, and values no row holds.
+std::vector<Value> Probes() {
+  std::vector<Value> probes = {Value::Null(), Value::Mark(),
+                               Value::Double(std::nan("")),
+                               Value::String("absent")};
+  for (int64_t k = -1; k <= 12; ++k) {
+    probes.push_back(Value::Int(k));
+    probes.push_back(Value::Double(static_cast<double>(k)));
+    probes.push_back(Value::Double(static_cast<double>(k) + 0.5));
+    probes.push_back(Value::String("s" + std::to_string(k)));
+  }
+  return probes;
+}
+
+/// Checks the index on `column` against a std::map from value to the
+/// ascending row ids holding it, built from rows(), looking up every key
+/// of the map and every value of Probes(). NaN equals nothing,
+/// so NaN rows stay out of the map: each is a key of its own that no
+/// lookup finds.
+void ExpectIndexMatchesRows(const Relation& rel, size_t column) {
+  ASSERT_TRUE(rel.HasIndex(column));
+  std::map<Value, std::vector<uint32_t>> reference;
+  size_t nan_rows = 0;
+  for (size_t r = 0; r < rel.size(); ++r) {
+    const Value& v = rel.rows()[r].at(column);
+    if (v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble())) {
+      ++nan_rows;
+      continue;
+    }
+    reference[v].push_back(static_cast<uint32_t>(r));
+  }
+  EXPECT_EQ(rel.IndexKeyCount(column), reference.size() + nan_rows);
+  std::vector<Value> probes = Probes();
+  for (const auto& [value, rows] : reference) probes.push_back(value);
+  for (const Value& probe : probes) {
+    const std::span<const uint32_t> hits = rel.Matches(column, probe);
+    const bool is_nan =
+        probe.kind() == ValueKind::kDouble && std::isnan(probe.AsDouble());
+    auto it = is_nan ? reference.end() : reference.find(probe);
+    if (it == reference.end()) {
+      EXPECT_TRUE(hits.empty()) << probe.ToString();
+    } else {
+      EXPECT_TRUE(std::ranges::equal(hits, it->second))
+          << probe.ToString() << ": " << hits.size() << " hits, "
+          << it->second.size() << " expected";
+    }
+  }
+}
+
+/// Inserts `n` random pairs (column 0 from the pool, column 1 small, so
+/// some pairs repeat and are rejected as duplicates).
+void InsertRandom(Relation* rel, std::mt19937_64* rng, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    Tuple t({PoolValue(rng), Value::Int(static_cast<int64_t>((*rng)() % 6))});
+    ASSERT_TRUE(rel->Insert(std::move(t)).ok());
+  }
+}
+
+TEST(FlatIndexDifferentialTest, InsertsWithDuplicates) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    Relation rel(2);
+    ASSERT_TRUE(rel.BuildIndex(0).ok());
+    ASSERT_TRUE(rel.BuildIndex(1).ok());
+    size_t attempted = 0;
+    for (size_t step : {1, 2, 5, 20, 100, 400}) {
+      InsertRandom(&rel, &rng, step);
+      attempted += step;
+      ExpectIndexMatchesRows(rel, 0);
+      ExpectIndexMatchesRows(rel, 1);
+    }
+    EXPECT_LT(rel.size(), attempted) << "the pool must produce duplicates";
+  }
+}
+
+TEST(FlatIndexDifferentialTest, CopiesDivergeIndependently) {
+  for (uint64_t seed : {5, 6, 7}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    Relation source(2);
+    InsertRandom(&source, &rng, 300);
+    ASSERT_TRUE(source.BuildIndex(0).ok());  // counting-pass layout
+    InsertRandom(&source, &rng, 50);         // then relocations
+    Relation copy = source;
+    ExpectIndexMatchesRows(copy, 0);
+
+    // Snapshot the copy's lists, then grow only the source.
+    std::vector<std::vector<uint32_t>> before;
+    for (const Value& probe : Probes()) {
+      const std::span<const uint32_t> hits = copy.Matches(0, probe);
+      before.emplace_back(hits.begin(), hits.end());
+    }
+    const size_t copy_size = copy.size();
+    InsertRandom(&source, &rng, 200);
+    ExpectIndexMatchesRows(source, 0);
+    ASSERT_EQ(copy.size(), copy_size);
+    ExpectIndexMatchesRows(copy, 0);
+    const std::vector<Value> probes = Probes();
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(copy.Matches(0, probes[i]), before[i]))
+          << probes[i].ToString();
+    }
+
+    // Now the copy alone, with other rows.
+    Relation copy_of_source = source;
+    InsertRandom(&copy, &rng, 200);
+    ExpectIndexMatchesRows(copy, 0);
+    ExpectIndexMatchesRows(source, 0);
+    // (Relation == finds no NaN row, not even in itself: compare text.)
+    EXPECT_EQ(source.ToString(), copy_of_source.ToString());
+  }
+}
+
+TEST(FlatIndexDifferentialTest, RebuildEqualsIncremental) {
+  for (uint64_t seed : {8, 9}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    Relation rel(2);
+    ASSERT_TRUE(rel.BuildIndex(0).ok());
+    InsertRandom(&rel, &rng, 500);
+    Relation rebuilt = rel;
+    ASSERT_TRUE(rebuilt.BuildIndex(0).ok());
+    EXPECT_EQ(rebuilt.IndexKeyCount(0), rel.IndexKeyCount(0));
+    for (const Value& probe : Probes()) {
+      EXPECT_TRUE(std::ranges::equal(rel.Matches(0, probe),
+                                     rebuilt.Matches(0, probe)))
+          << probe.ToString();
+    }
+    // Inserting into a rebuilt index fills its headroom, then relocates
+    // its lists.
+    InsertRandom(&rebuilt, &rng, 300);
+    ExpectIndexMatchesRows(rebuilt, 0);
+  }
+}
+
+TEST(FlatIndexDifferentialTest, MovedFromAndEmptyRelations) {
+  std::mt19937_64 rng(10);
+  Relation empty(2);
+  ASSERT_TRUE(empty.BuildIndex(0).ok());
+  EXPECT_EQ(empty.IndexKeyCount(0), 0u);
+  EXPECT_TRUE(empty.Matches(0, Value::Int(1)).empty());
+  ExpectIndexMatchesRows(empty, 0);
+  Relation empty_copy = empty;
+  InsertRandom(&empty_copy, &rng, 40);
+  ExpectIndexMatchesRows(empty_copy, 0);
+  EXPECT_EQ(empty.IndexKeyCount(0), 0u);
+
+  Relation source(2);
+  ASSERT_TRUE(source.BuildIndex(0).ok());
+  InsertRandom(&source, &rng, 200);
+  Relation moved = std::move(source);
+  ExpectIndexMatchesRows(moved, 0);
+  // The moved-from relation is empty and unindexed, and usable again.
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(source.HasIndex(0));
+  EXPECT_EQ(source.IndexKeyCount(0), 0u);
+  EXPECT_TRUE(source.Matches(0, Value::Int(1)).empty());
+  ASSERT_TRUE(source.BuildIndex(0).ok());
+  InsertRandom(&source, &rng, 100);
+  ExpectIndexMatchesRows(source, 0);
+  ExpectIndexMatchesRows(moved, 0);
+}
+
+TEST(FlatIndexDifferentialTest, HotKeyRelocatesManyTimes) {
+  // Each hot row is followed by a fresh key, so the hot list never ends
+  // the arena and every doubling moves it; then a run of hot rows alone,
+  // where it does end the arena and grows in place.
+  Relation rel(2);
+  ASSERT_TRUE(rel.BuildIndex(0).ok());
+  const Value hot = Value::String("hot");
+  int64_t id = 0;
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(*rel.Insert(Tuple({hot, Value::Int(id++)})));
+    ASSERT_TRUE(*rel.Insert(Tuple({Value::Int(id), Value::Int(id)})));
+    ++id;
+    if ((i & (i + 1)) == 0) ExpectIndexMatchesRows(rel, 0);  // i = 2^k - 1
+  }
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(*rel.Insert(Tuple({hot, Value::Int(id++)})));
+  }
+  ExpectIndexMatchesRows(rel, 0);
+  EXPECT_EQ(rel.Matches(0, hot).size(), 6000u);
+  EXPECT_EQ(rel.IndexKeyCount(0), 3001u);
+  // A copy keeps the layout; inserting into it moves the hot list again.
+  Relation copy = rel;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(*copy.Insert(Tuple({Value::Int(-1 - i), Value::Int(0)})));
+    ASSERT_TRUE(*copy.Insert(Tuple({hot, Value::Int(-1 - i)})));
+  }
+  ExpectIndexMatchesRows(copy, 0);
+  ExpectIndexMatchesRows(rel, 0);
+  EXPECT_EQ(copy.Matches(0, hot).size(), 6100u);
 }
 
 TEST(DatabaseIndexTest, BuildIndexValidation) {

@@ -579,5 +579,38 @@ TEST_F(ServiceFailpointTest, DeadlineBoundsRetriesAndBackoff) {
   EXPECT_LT(elapsed, 2s) << "the deadline must bound the retry loop";
 }
 
+TEST_F(ServiceFailpointTest, DeadlineCutLadderReportsAttemptsThatRan) {
+  // The same always-failing ladder, with backoffs that leave no room for
+  // a third attempt inside 60 ms: the transient verdict must count the
+  // attempts that ran, not the ten that were allowed. Without jitter the
+  // second backoff (40 ms, after a 20 ms one) ends past the deadline, so
+  // the loop stops on the transient error, never on an expired deadline.
+  Database db = MakeUniversity(SmallConfig(3));
+  QueryProcessor qp(&db);
+  ServiceOptions options;
+  options.retry.max_attempts = 10;
+  options.retry.initial_backoff = 20ms;
+  options.retry.max_backoff = 200ms;
+  options.retry.jitter = 0;
+  QueryService service(&qp, options);
+
+  failpoints::Arm("exec.scan.open", Status::Transient("always down"));
+  failpoints::Arm("nestedloop.enumerate", Status::Transient("always down"));
+  QueryOptions bounded;
+  bounded.deadline = 60ms;
+  auto reply = service.Run(kClosedQuery, Strategy::kBry, bounded);
+  ASSERT_FALSE(reply.ok());
+  ASSERT_EQ(reply.status().code(), StatusCode::kTransient) << reply.status();
+  const ServiceStats stats = service.stats();
+  ASSERT_GT(stats.transient_failures, 0u);
+  EXPECT_LT(stats.transient_failures, 10u);
+  EXPECT_NE(reply.status().message().find(
+                "attempts exhausted (" +
+                std::to_string(stats.transient_failures) + ")"),
+            std::string::npos)
+      << reply.status() << " vs transient_failures "
+      << stats.transient_failures;
+}
+
 }  // namespace
 }  // namespace bryql

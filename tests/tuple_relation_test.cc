@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -361,7 +362,7 @@ TEST(RelationMembershipTest, MatchesPositionsIndexRows) {
                              Value::String("s" + std::to_string(k))}) {
         size_t expected = 0;
         for (const Tuple& t : rel.rows()) expected += t.at(column) == v;
-        const std::vector<size_t>& hits = rel.Matches(column, v);
+        const std::span<const uint32_t> hits = rel.Matches(column, v);
         EXPECT_EQ(hits.size(), expected) << column << " " << v.ToString();
         for (size_t pos : hits) {
           ASSERT_LT(pos, rel.size());
