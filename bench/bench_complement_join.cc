@@ -8,7 +8,15 @@
 // difference, but also a join"; the complement-join behaves like a
 // semi-join probe. Expect the complement-join to win on time, comparisons
 // and materialized tuples at every scale, by a growing absolute margin.
+//
+// BM_ComplementJoin first checks, once per case and outside the timed
+// loop, that the complement-join answer equals the conventional answer
+// projected onto member's two columns, and aborts on a mismatch, so one
+// short pass is a smoke test of both plans:
+//
+//   ./build/bench/bench_complement_join --benchmark_min_time=0.01
 
+#include <iostream>
 #include <random>
 
 #include "bench/bench_util.h"
@@ -62,9 +70,24 @@ ExprPtr ConventionalPlan() {
   return Expr::Join(Expr::Scan("member"), std::move(difference), {{0, 0}});
 }
 
+/// Aborts unless the two plans agree: π_{1,2} of the conventional plan
+/// (member's columns) is the complement-join's answer.
+void CheckPlansAgree(const Database& db) {
+  Executor exec(&db);
+  auto complement = exec.Evaluate(ComplementJoinPlan());
+  auto conventional =
+      exec.Evaluate(Expr::Project(ConventionalPlan(), {0, 1}));
+  if (!complement.ok() || !conventional.ok() ||
+      *complement != *conventional) {
+    std::cerr << "complement-join disagrees with the conventional plan\n";
+    std::abort();
+  }
+}
+
 void BM_ComplementJoin(benchmark::State& state) {
   Database db = MakeDb(static_cast<size_t>(state.range(0)),
                        static_cast<double>(state.range(1)) / 100.0, 7);
+  CheckPlansAgree(db);
   ExecStats stats;
   size_t answers = 0;
   for (auto _ : state) {

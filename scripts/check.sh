@@ -3,7 +3,8 @@
 #   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
 #      benchmarks use; the columnar kernels' real codegen), plus one
 #      short smoke pass each of bench_integrity, of bench_end_to_end's
-#      bry cases and of bench_prepared's engine cases, and a check that
+#      bry cases, of bench_prepared's engine cases and of
+#      bench_complement_join, and a check that
 #      scripts/bench_compare.py flags a moved counter in the first's report,
 #   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
 #      suite — every other build defines NDEBUG, so this is the one where
@@ -59,6 +60,9 @@ fi
 # answer equals the default batch size's.
 ./build/bench/bench_prepared --benchmark_filter=BM_Engine \
   --benchmark_min_time=0.01 >/dev/null
+# One short pass of E3; the complement-join aborts unless its answer
+# equals the conventional plan's.
+./build/bench/bench_complement_join --benchmark_min_time=0.01 >/dev/null
 
 echo "== [2/5] Debug + _GLIBCXX_ASSERTIONS build + tests =="
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \

@@ -40,8 +40,6 @@ const char* PhysicalKindName(PhysicalKind kind) {
       return "Product";
     case PhysicalKind::kHashJoin:
       return "HashJoin";
-    case PhysicalKind::kSortMergeJoin:
-      return "SortMergeJoin";
     case PhysicalKind::kProbeJoin:
       return "ProbeJoin";
     case PhysicalKind::kDivision:
@@ -135,15 +133,6 @@ std::string PhysicalNode::Label() const {
     case PhysicalKind::kHashJoin:
       out += "(" + std::string(JoinVariantName(variant)) +
              ", build=" + (build_left ? "left" : "right") +
-             ", keys=" + KeysToString(keys);
-      if (predicate != nullptr) {
-        out += (variant == JoinVariant::kInner ? ", residual " : ", if ") +
-               predicate->ToString();
-      }
-      out += ")";
-      break;
-    case PhysicalKind::kSortMergeJoin:
-      out += "(" + std::string(JoinVariantName(variant)) +
              ", keys=" + KeysToString(keys);
       if (predicate != nullptr) {
         out += (variant == JoinVariant::kInner ? ", residual " : ", if ") +

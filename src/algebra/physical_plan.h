@@ -15,8 +15,8 @@ namespace bryql {
 /// Which member of the join family to compute. The paper's observation —
 /// the complement-join "is easily implemented by modifying any semi-join
 /// algorithm" (§3.1), and likewise the constrained outer-join from any
-/// join (§3.3) — holds for hash and sort-merge algorithms alike, so the
-/// variant is orthogonal to the physical algorithm choice.
+/// join (§3.3) — holds for the hash join and the in-place probe join
+/// alike, so the variant is orthogonal to the physical algorithm choice.
 enum class JoinVariant {
   kInner,      // ⋈: concatenated matches
   kSemi,       // ⋉: left rows with a partner
@@ -30,7 +30,7 @@ const char* JoinVariantName(JoinVariant variant);
 /// Physical operator kinds — what the lowering pass compiles the logical
 /// Expr tree into. Where ExprKind says *what* is computed, PhysicalKind
 /// says *how*: access path (table vs. index scan), join algorithm (hash
-/// vs. sort-merge), and build-side placement are all explicit here.
+/// vs. in-place probe), and build-side placement are all explicit here.
 enum class PhysicalKind {
   kTableScan,      // full scan of a named base relation
   kLiteralScan,    // scan of an inline relation
@@ -40,7 +40,6 @@ enum class PhysicalKind {
   kProject,        // π_cols with streaming dedup
   kProduct,        // ×, right side materialized
   kHashJoin,       // build + probe; covers all five JoinVariants
-  kSortMergeJoin,  // sort both sides + merge; covers all five variants
   kProbeJoin,      // semi/anti join probing a stored relation in place
   kDivision,       // ÷
   kGroupDivision,  // per-group ÷
@@ -97,9 +96,9 @@ struct PhysicalNode {
   /// build child is the relation itself, every column keyed once).
   bool probe_by_index = false;
 
-  /// kFilter predicate; kIndexScan residual; kHashJoin/kSortMergeJoin
-  /// residual (kInner, over the concatenated tuple) or probe constraint
-  /// (kLeftOuter/kMark, over the left tuple).
+  /// kFilter predicate; kIndexScan residual; kHashJoin residual (kInner,
+  /// over the concatenated tuple) or probe constraint (kLeftOuter/kMark,
+  /// over the left tuple).
   PredicatePtr predicate;
 
   /// kProject columns.

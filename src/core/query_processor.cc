@@ -182,18 +182,15 @@ std::string QueryProcessor::CacheKey(const std::string& text,
                                      Strategy strategy,
                                      const QueryOptions& options) const {
   // Everything that shapes the prepared artifacts must be in the key:
-  // the strategy and translation-affecting processor state, the lowering
-  // knobs, and the structural limits (a plan prepared under lax limits
-  // must not satisfy a stricter run). Batch size and thread count are
-  // deliberately absent — they pick how a plan is *driven*, not what it
-  // is, and Execute consults them directly. Views are handled by
-  // invalidation (SetViews clears the cache).
+  // the strategy and translation-affecting processor state, and the
+  // structural limits (a plan prepared under lax limits must not satisfy
+  // a stricter run). Batch size and thread count are deliberately absent
+  // — they pick how a plan is *driven*, not what it is, and Execute
+  // consults them directly. Views and the lowering knobs are handled by
+  // invalidation (SetViews and SetExecOptions clear the cache).
   std::string key = StrategyName(strategy);
   key += '\x1f';
   key += domain_closure_ ? '1' : '0';
-  key += exec_options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
-             ? 's'
-             : 'h';
   key += '\x1f';
   key += std::to_string(options.max_formula_depth);
   key += ':';

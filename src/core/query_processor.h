@@ -137,7 +137,7 @@ class QueryProcessor {
   }
 
   /// Physical execution knobs used by every subsequent Run/Prepare
-  /// (engine mode, join algorithm, batch size, build-side policy).
+  /// (batch size, column-store scans).
   /// Invalidates the plan cache — plans depend on these choices.
   void SetExecOptions(const ExecOptions& options) {
     exec_options_ = options;

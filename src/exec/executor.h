@@ -13,16 +13,6 @@ namespace bryql {
 
 /// Physical execution knobs.
 struct ExecOptions {
-  enum class JoinAlgorithm {
-    /// Hash build + probe (default): streams the probe side.
-    kHash,
-    /// Classic sort-merge, the algorithm family of the paper's era.
-    /// Materializes both sides; same results, different cost profile
-    /// (comparisons instead of probes).
-    kSortMerge,
-  };
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-
   /// Tuples per NextBatch transfer. 1 degrades to tuple-at-a-time data
   /// flow through the same operators: answers, counters and budget
   /// verdicts are identical at every batch size.
@@ -40,7 +30,8 @@ struct ExecOptions {
 /// The Executor is a thin facade over two pieces:
 ///
 ///   * src/exec/lowering — compiles the logical Expr tree into a
-///     PhysicalPlan (access paths, join algorithm, build side);
+///     PhysicalPlan (access paths, hash or in-place probe join, build
+///     side);
 ///   * src/exec/physical — batched Open/NextBatch/Close operators and the
 ///     PlanRuntime that instantiates plans.
 ///

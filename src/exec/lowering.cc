@@ -116,37 +116,33 @@ class Lowerer {
         break;
       }
       case ExprKind::kJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kInner;
         node->keys = expr->keys();
         node->predicate = expr->predicate();
-        if (node->kind == PhysicalKind::kHashJoin) {
-          BRYQL_ASSIGN_OR_RETURN(CostEstimate left_est,
-                                 cost_.Estimate(expr->left()));
-          BRYQL_ASSIGN_OR_RETURN(CostEstimate right_est,
-                                 cost_.Estimate(expr->right()));
-          // Strictly smaller only: ties keep the conventional
-          // build-right so plans stay stable under symmetric inputs.
-          node->build_left = left_est.rows < right_est.rows;
-        }
+        BRYQL_ASSIGN_OR_RETURN(CostEstimate left_est,
+                               cost_.Estimate(expr->left()));
+        BRYQL_ASSIGN_OR_RETURN(CostEstimate right_est,
+                               cost_.Estimate(expr->right()));
+        // Strictly smaller only: ties keep the conventional build-right so
+        // plans stay stable under symmetric inputs.
+        node->build_left = left_est.rows < right_est.rows;
         BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
         break;
       }
       case ExprKind::kSemiJoin:
       case ExprKind::kAntiJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = expr->kind() == ExprKind::kAntiJoin
                             ? JoinVariant::kAnti
                             : JoinVariant::kSemi;
         node->keys = expr->keys();
         BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
-        if (node->kind == PhysicalKind::kHashJoin) {
-          BRYQL_RETURN_NOT_OK(ChooseProbeJoin(expr, node.get()));
-        }
+        BRYQL_RETURN_NOT_OK(ChooseProbeJoin(expr, node.get()));
         break;
       }
       case ExprKind::kOuterJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kLeftOuter;
         node->keys = expr->keys();
         node->predicate = expr->constraint();
@@ -156,7 +152,7 @@ class Lowerer {
         break;
       }
       case ExprKind::kMarkJoin: {
-        node->kind = JoinKind();
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = JoinVariant::kMark;
         node->keys = expr->keys();
         node->predicate = expr->constraint();
@@ -171,9 +167,8 @@ class Lowerer {
       case ExprKind::kDifference:
       case ExprKind::kIntersect: {
         // Difference/intersection are key-on-whole-tuple complement/semi
-        // joins (paper §3.1), so they follow the configured join
-        // algorithm like the rest of the join family.
-        node->kind = JoinKind();
+        // joins (paper §3.1), so they lower to the same hash join.
+        node->kind = PhysicalKind::kHashJoin;
         node->variant = expr->kind() == ExprKind::kIntersect
                             ? JoinVariant::kSemi
                             : JoinVariant::kAnti;
@@ -225,12 +220,6 @@ class Lowerer {
   }
 
  private:
-  PhysicalKind JoinKind() const {
-    return options_.join_algorithm == ExecOptions::JoinAlgorithm::kSortMerge
-               ? PhysicalKind::kSortMergeJoin
-               : PhysicalKind::kHashJoin;
-  }
-
   /// A semi- or complement-join whose build side is a stored relation R
   /// probes R in place instead of hashing it: R.Contains when the keys
   /// name every column of R exactly once, R's index on c when the build
@@ -351,7 +340,6 @@ void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
       AnnotateParallel(node->children[0].get(), true);
       AnnotateParallel(node->children[1].get(), false);
       break;
-    case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount:

@@ -18,9 +18,11 @@ namespace bryql {
 ///   * access paths — σ_{col=value}(scan) over an indexed column becomes
 ///     an IndexScan with the remaining conjuncts as a residual filter;
 ///   * join algorithm — the whole join family (inner, semi,
-///     complement/anti, outer, mark) lowers to HashJoin or SortMergeJoin
-///     per ExecOptions::join_algorithm, and difference/intersection lower
-///     to whole-tuple-key semi/anti joins of the same family;
+///     complement/anti, outer, mark) lowers to HashJoin, and
+///     difference/intersection lower to whole-tuple-key semi/anti joins
+///     of the same family; a semi/anti join whose build side is a stored
+///     relation (or an indexed π_c of one) probes it in place as a
+///     ProbeJoin instead;
 ///   * build-side placement — inner hash joins build on whichever input
 ///     the cost model estimates strictly smaller (ties build right);
 ///   * cost annotations — every node carries the cost model's row/cost

@@ -10,14 +10,6 @@ namespace {
 using TupleSet = std::unordered_set<Tuple, TupleHash>;
 }  // namespace
 
-Status BlockingResultOp::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (!out->full() && index_ < result_.rows().size()) {
-    *out->AddSlot() = result_.rows()[index_++];
-  }
-  return Status::Ok();
-}
-
 Status DivisionOp::Open() {
   BRYQL_RETURN_NOT_OK(left_->Open());
   BRYQL_RETURN_NOT_OK(right_->Open());
@@ -46,10 +38,10 @@ Status DivisionOp::Open() {
       groups.try_emplace(std::move(prefix));
     }
   }
-  result_ = Relation(p - q);
+  rel_ = Relation(p - q);
   for (auto& [prefix, matched] : groups) {
     if (matched.size() == divisor.size()) {
-      BRYQL_RETURN_NOT_OK(result_.Insert(prefix).status());
+      BRYQL_RETURN_NOT_OK(rel_.Insert(prefix).status());
     }
   }
   return Status::Ok();
@@ -110,7 +102,7 @@ Status GroupDivisionOp::Open() {
       }
     }
   }
-  result_ = Relation(keep_arity + g);
+  rel_ = Relation(keep_arity + g);
   for (auto& [prefix, values] : matched) {
     // The group is the suffix of the prefix tuple.
     std::vector<size_t> group_in_prefix;
@@ -119,7 +111,7 @@ Status GroupDivisionOp::Open() {
     }
     auto git = divisor_groups.find(prefix.Project(group_in_prefix));
     if (git != divisor_groups.end() && values.size() == git->second.size()) {
-      BRYQL_RETURN_NOT_OK(result_.Insert(prefix).status());
+      BRYQL_RETURN_NOT_OK(rel_.Insert(prefix).status());
     }
   }
   return Status::Ok();
@@ -141,11 +133,11 @@ Status GroupCountOp::Open() {
     ++counts[t.Project(group_cols)];
     ++ctx_.stats->tuples_materialized;
   }
-  result_ = Relation(g + 1);
+  rel_ = Relation(g + 1);
   for (auto& [group, count] : counts) {
     Tuple row = group;
     row.Append(Value::Int(count));
-    BRYQL_RETURN_NOT_OK(result_.Insert(std::move(row)).status());
+    BRYQL_RETURN_NOT_OK(rel_.Insert(std::move(row)).status());
   }
   return Status::Ok();
 }

@@ -4,31 +4,20 @@
 #include <utility>
 
 #include "exec/physical/operator.h"
+#include "exec/physical/scan.h"
 #include "storage/relation.h"
 
 namespace bryql {
 
-/// Streams a blocking operator's precomputed result relation. Division,
-/// per-group division and group-count all fully compute at Open and share
-/// this output path.
-class BlockingResultOp : public PhysicalOperator {
- public:
-  Status NextBatch(TupleBatch* out) final;
-  void Close() override {}
-
- protected:
-  BlockingResultOp() : result_(0) {}
-  Relation result_;
-
- private:
-  size_t index_ = 0;
-};
+// Division, per-group division and group-count are blocking: each fully
+// computes its result into RelationSourceOp::rel_ at Open, and streams it
+// through RelationSourceOp::NextBatch.
 
 /// dividend ÷ divisor (the paper's one-shot division strategy): tuples
 /// over the first p−q columns paired in the dividend with *every* divisor
 /// tuple. An empty divisor divides trivially — the result is the
 /// projection of the dividend.
-class DivisionOp : public BlockingResultOp {
+class DivisionOp : public RelationSourceOp {
  public:
   DivisionOp(PhysicalOpPtr left, PhysicalOpPtr right, size_t left_arity,
              size_t right_arity, PhysicalContext ctx)
@@ -53,7 +42,7 @@ class DivisionOp : public BlockingResultOp {
 /// when it pairs with *every* value of its group. Groups absent from the
 /// divisor produce nothing (the translator adds the vacuous-truth guard
 /// itself).
-class GroupDivisionOp : public BlockingResultOp {
+class GroupDivisionOp : public RelationSourceOp {
  public:
   GroupDivisionOp(PhysicalOpPtr left, PhysicalOpPtr right, size_t left_arity,
                   size_t right_arity, size_t group_arity, PhysicalContext ctx)
@@ -77,7 +66,7 @@ class GroupDivisionOp : public BlockingResultOp {
 
 /// γ: per-group row counts (set semantics — input rows are already
 /// distinct), the workhorse of the QUEL-style counting strategy.
-class GroupCountOp : public BlockingResultOp {
+class GroupCountOp : public RelationSourceOp {
  public:
   GroupCountOp(PhysicalOpPtr child, size_t group_arity, PhysicalContext ctx)
       : child_(std::move(child)), group_arity_(group_arity), ctx_(ctx) {}

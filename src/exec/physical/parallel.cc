@@ -213,7 +213,6 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       }
       return PrepareSpine(node->children[0]);
     }
-    case PhysicalKind::kSortMergeJoin:
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount: {

@@ -200,9 +200,8 @@ struct ParallelShared {
 /// Everything hanging off the spine is shared, computed exactly once:
 /// join build sides are drained (themselves in parallel) into a
 /// SharedJoinBuild, product right sides and blocking operators
-/// (sort-merge join, divisions, group count) are materialized by the
-/// coordinator, and boolean subtrees evaluate through the same
-/// first-witness machinery. Spine scans draw morsels from shared
+/// (divisions, group count) are materialized by the coordinator, and
+/// boolean subtrees evaluate through the same first-witness machinery. Spine scans draw morsels from shared
 /// dispensers, dedup operators share sharded seen-sets, and the final
 /// merge dedups worker outputs through one more sharded set — order-
 /// insensitive, which is sound because relations are sets.

@@ -16,7 +16,6 @@
 #include "exec/physical/probe_join.h"
 #include "exec/physical/scan.h"
 #include "exec/physical/set_ops.h"
-#include "exec/physical/sort_merge_join.h"
 
 namespace bryql {
 namespace {
@@ -134,7 +133,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   // Parallel workers: a node the coordinator already materialized (a
   // blocking operator, a boolean subtree, …) is replaced wholesale by a
   // scan over the shared result — morsel-partitioned, with no admissions,
-  // exactly like the serial BlockingResultOp streaming it would be.
+  // exactly like the serial operator's RelationSourceOp output would be.
   if (ctx_.shared != nullptr) {
     if (const Relation* rel = ctx_.shared->FindRelation(node.get())) {
       op = PhysicalOpPtr(new BorrowedRelationScanOp(
@@ -286,17 +285,6 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       op = PhysicalOpPtr(new HashJoinOp(
           std::move(left), std::move(right), node->keys, node->variant,
           node->predicate, node->build_left, node->pad_arity, ctx_));
-      break;
-    }
-    case PhysicalKind::kSortMergeJoin: {
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr left,
-                             Build(node->children[0], depth + 1));
-      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr right,
-                             Build(node->children[1], depth + 1));
-      op = PhysicalOpPtr(new SortMergeJoinOp(
-          std::move(left), std::move(right), node->children[0]->arity,
-          node->children[1]->arity, node->keys, node->variant,
-          node->predicate, ctx_));
       break;
     }
     case PhysicalKind::kDivision: {

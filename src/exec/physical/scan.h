@@ -63,17 +63,22 @@ class IndexScanOp : public PhysicalOperator {
   size_t limit_;
 };
 
-/// Streams an owned relation (sort-merge results, division results,
-/// boolean sub-evaluations). Reads from intermediates are not counted as
-/// base-table scans: `scanned` counts base-relation reads only.
+/// Streams an owned relation: a boolean sub-evaluation, or — as the base
+/// of DivisionOp, GroupDivisionOp and GroupCountOp — the result a
+/// blocking operator computes into `rel_` at Open. Reads from
+/// intermediates are not counted as base-table scans: `scanned` counts
+/// base-relation reads only.
 class RelationSourceOp : public PhysicalOperator {
  public:
   explicit RelationSourceOp(Relation rel) : rel_(std::move(rel)) {}
   Status Open() override { return Status::Ok(); }
-  Status NextBatch(TupleBatch* out) override;
+  Status NextBatch(TupleBatch* out) final;
+
+ protected:
+  RelationSourceOp() : rel_(0) {}
+  Relation rel_;
 
  private:
-  Relation rel_;
   size_t index_ = 0;
 };
 

@@ -1,8 +1,30 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace bryql {
+namespace {
+
+bool IsNan(const Value& v) {
+  return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
+}
+
+bool HasNan(const Tuple& t) {
+  return std::ranges::any_of(t.values(), IsNan);
+}
+
+/// Row equality for set comparison: each value equal, or both NaN.
+bool SameRow(const Tuple& x, const Tuple& y) {
+  for (size_t i = 0; i < x.arity(); ++i) {
+    if (!(x.at(i) == y.at(i)) && !(IsNan(x.at(i)) && IsNan(y.at(i)))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
@@ -170,10 +192,26 @@ std::vector<Tuple> Relation::SortedRows() const {
 
 bool operator==(const Relation& a, const Relation& b) {
   if (a.arity_ != b.arity_ || a.size() != b.size()) return false;
-  for (const Tuple& t : a.rows_) {
-    if (!b.Contains(t)) return false;
+  // Contains never finds a row holding NaN (NaN equals nothing), and such
+  // rows never dedup, so they are paired one to one instead, NaN with
+  // NaN. Every other row of a must be a member of b; with the sizes
+  // equal, that pairs the rest.
+  std::vector<const Tuple*> unpaired;  // b's NaN rows
+  for (const Tuple& t : b.rows_) {
+    if (HasNan(t)) unpaired.push_back(&t);
   }
-  return true;
+  for (const Tuple& t : a.rows_) {
+    if (!HasNan(t)) {
+      if (!b.Contains(t)) return false;
+      continue;
+    }
+    auto it = std::ranges::find_if(
+        unpaired, [&t](const Tuple* u) { return SameRow(t, *u); });
+    if (it == unpaired.end()) return false;
+    *it = unpaired.back();
+    unpaired.pop_back();
+  }
+  return unpaired.empty();
 }
 
 std::string Relation::ToString() const {

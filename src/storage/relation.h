@@ -67,7 +67,9 @@ class Relation {
   /// Rows sorted by value — canonical order for comparisons in tests.
   std::vector<Tuple> SortedRows() const;
 
-  /// Set equality (order-insensitive).
+  /// Set equality (order-insensitive) under Value ==, except that NaN
+  /// matches NaN here: a relation equals its copy even when it holds NaN
+  /// rows, which pair one to one since they never dedup.
   friend bool operator==(const Relation& a, const Relation& b);
   friend bool operator!=(const Relation& a, const Relation& b) {
     return !(a == b);

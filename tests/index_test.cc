@@ -221,8 +221,7 @@ TEST(FlatIndexDifferentialTest, CopiesDivergeIndependently) {
     InsertRandom(&copy, &rng, 200);
     ExpectIndexMatchesRows(copy, 0);
     ExpectIndexMatchesRows(source, 0);
-    // (Relation == finds no NaN row, not even in itself: compare text.)
-    EXPECT_EQ(source.ToString(), copy_of_source.ToString());
+    EXPECT_EQ(source, copy_of_source);
   }
 }
 

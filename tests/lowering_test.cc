@@ -38,9 +38,8 @@ Database TwoTables() {
   return db;
 }
 
-PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr,
-                      ExecOptions options = {}) {
-  auto plan = LowerPlan(db, options, expr);
+PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr) {
+  auto plan = LowerPlan(db, ExecOptions{}, expr);
   EXPECT_TRUE(plan.ok()) << plan.status();
   return plan.ok() ? *plan : nullptr;
 }
@@ -114,29 +113,6 @@ TEST(LoweringTest, CostModelPutsSmallerInputOnBuildSide) {
                                   keys, nullptr));
   ASSERT_NE(tie, nullptr);
   EXPECT_FALSE(tie->build_left);
-}
-
-TEST(LoweringTest, JoinAlgorithmOptionSelectsSortMerge) {
-  Database db = TwoTables();
-  ExecOptions options;
-  options.join_algorithm = ExecOptions::JoinAlgorithm::kSortMerge;
-  std::vector<JoinKey> keys = {{0, 0}};
-  auto left = Expr::Scan("small");
-  auto right = Expr::Scan("big");
-  const ExprPtr exprs[] = {
-      Expr::Join(left, right, keys, nullptr),
-      Expr::SemiJoin(left, right, keys),
-      Expr::AntiJoin(left, right, keys),
-      Expr::OuterJoin(left, right, keys, nullptr),
-      Expr::MarkJoin(left, right, keys, nullptr),
-      Expr::Difference(left, left),
-      Expr::Intersect(left, left),
-  };
-  for (const ExprPtr& expr : exprs) {
-    auto plan = Lower(db, expr, options);
-    ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(plan->kind, PhysicalKind::kSortMergeJoin) << plan->Label();
-  }
 }
 
 TEST(LoweringTest, DifferenceLowersToWholeTupleAntiJoin) {

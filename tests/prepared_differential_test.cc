@@ -178,9 +178,9 @@ TEST(PlanCacheBehaviorTest, DistinctStrategiesAndOptionsMissTheCache) {
   EXPECT_EQ(qp.cache_stats().hits, 0u);
 
   // Changing exec options invalidates everything.
-  ExecOptions merge;
-  merge.join_algorithm = ExecOptions::JoinAlgorithm::kSortMerge;
-  qp.SetExecOptions(merge);
+  ExecOptions row_path;
+  row_path.use_columnar = false;
+  qp.SetExecOptions(row_path);
   EXPECT_EQ(qp.cache_size(), 0u);
   auto rerun = qp.Run(text, Strategy::kBry);
   ASSERT_TRUE(rerun.ok());

@@ -33,9 +33,8 @@ Database TwoTables() {
   return db;
 }
 
-PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr,
-                      ExecOptions options = {}) {
-  auto plan = LowerPlan(db, options, expr);
+PhysicalPlanPtr Lower(const Database& db, const ExprPtr& expr) {
+  auto plan = LowerPlan(db, ExecOptions{}, expr);
   EXPECT_TRUE(plan.ok()) << plan.status();
   return plan.ok() ? *plan : nullptr;
 }
@@ -95,7 +94,7 @@ TEST(ProbeJoinLoweringTest, ProjectionOfAnIndexedColumnProbesTheIndex) {
   EXPECT_EQ(keyless->kind, PhysicalKind::kHashJoin);
 }
 
-TEST(ProbeJoinLoweringTest, OtherBuildsAndSortMergeKeepTheirJoin) {
+TEST(ProbeJoinLoweringTest, OtherBuildsKeepTheirHashJoin) {
   Database db = TwoTables();
   const ExprPtr builds[] = {
       // An index scan, a filter, a literal: not a stored relation.
@@ -116,15 +115,6 @@ TEST(ProbeJoinLoweringTest, OtherBuildsAndSortMergeKeepTheirJoin) {
     ASSERT_NE(plan, nullptr);
     EXPECT_EQ(plan->kind, PhysicalKind::kHashJoin) << plan->ToString();
   }
-
-  ExecOptions sort_merge;
-  sort_merge.join_algorithm = ExecOptions::JoinAlgorithm::kSortMerge;
-  auto plan = Lower(db,
-                    Expr::AntiJoin(Expr::Scan("p"), Expr::Scan("r"),
-                                   {{0, 0}, {1, 1}}),
-                    sort_merge);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->kind, PhysicalKind::kSortMergeJoin);
 }
 
 /// The probe join scans only the probe side, yet reports the hash build's

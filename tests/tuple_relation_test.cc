@@ -203,10 +203,28 @@ void ExpectMatchesReference(const Relation& rel,
   }
 }
 
+bool IsNan(const Value& v) {
+  return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
+}
+
+/// Set equality by linear scan: the rows pair one to one, each value
+/// equal or both NaN (NaN rows never dedup, so they pair like a
+/// multiset).
 bool ReferenceEqual(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
   if (a.size() != b.size()) return false;
+  std::vector<bool> used(b.size(), false);
   for (const Tuple& t : a) {
-    if (!ReferenceContains(b, t)) return false;
+    bool paired = false;
+    for (size_t j = 0; j < b.size() && !paired; ++j) {
+      if (used[j]) continue;
+      bool same = true;
+      for (size_t i = 0; i < t.arity(); ++i) {
+        same = same && (t.at(i) == b[j].at(i) ||
+                        (IsNan(t.at(i)) && IsNan(b[j].at(i))));
+      }
+      used[j] = paired = same;
+    }
+    if (!paired) return false;
   }
   return true;
 }
@@ -239,7 +257,7 @@ TEST(RelationMembershipTest, RandomizedAgainstLinearScan) {
     ExpectMatchesReference(rel, reference, probes);
 
     // The same rows in another order: equal exactly when the reference
-    // says so (a NaN row makes a relation unequal even to itself).
+    // says so (NaN rows pair with NaN rows).
     std::vector<Tuple> shuffled = reference;
     std::shuffle(shuffled.begin(), shuffled.end(), rng);
     Relation other(arity);
@@ -277,6 +295,40 @@ TEST(RelationMembershipTest, IntAndDoubleCollapseNanNeverDedups) {
   EXPECT_FALSE(r.Contains(Tuple({Value::String("2")})));
   EXPECT_EQ(r.size(), 5u);
   EXPECT_EQ(r.rows()[0].at(0).kind(), ValueKind::kInt);  // first one kept
+}
+
+TEST(RelationMembershipTest, NanRowsPairInSetEquality) {
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  Relation one(1);
+  ASSERT_TRUE(*one.Insert(Tuple({nan})));
+  EXPECT_TRUE(one == one);
+  const Relation copy = one;
+  EXPECT_TRUE(one == copy);
+  EXPECT_TRUE(copy == one);
+
+  // Two NaN rows (they never dedup) are not one.
+  Relation two = one;
+  ASSERT_TRUE(*two.Insert(Tuple({nan})));
+  EXPECT_EQ(two.size(), 2u);
+  EXPECT_FALSE(one == two);
+  EXPECT_FALSE(two == one);
+  EXPECT_TRUE(two == Relation(two));
+
+  // NaN equals no other value, in any column.
+  Relation number(1);
+  ASSERT_TRUE(*number.Insert(Tuple({Value::Double(1.5)})));
+  EXPECT_FALSE(one == number);
+  EXPECT_FALSE(number == one);
+  Relation mixed(2), other(2);
+  ASSERT_TRUE(*mixed.Insert(Tuple({Value::Int(1), nan})));
+  ASSERT_TRUE(*mixed.Insert(Tuple({Value::Int(2), Value::Int(3)})));
+  ASSERT_TRUE(*other.Insert(Tuple({Value::Int(2), Value::Double(3.0)})));
+  ASSERT_TRUE(*other.Insert(Tuple({Value::Int(1), nan})));
+  EXPECT_TRUE(mixed == other);  // order-insensitive, Int/Double collapse
+  Relation shifted(2);
+  ASSERT_TRUE(*shifted.Insert(Tuple({Value::Int(2), nan})));
+  ASSERT_TRUE(*shifted.Insert(Tuple({Value::Int(2), Value::Int(3)})));
+  EXPECT_FALSE(mixed == shifted);
 }
 
 TEST(RelationMembershipTest, CopiesAreIndependent) {
