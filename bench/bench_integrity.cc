@@ -11,8 +11,10 @@
 // students: copying `student`, `enrolled` and `attends` (all indexes and
 // column stores), inserting a 160-row batch into the copies, and
 // installing them with Database::Put, which frees the replaced relations.
-// Reported: CPU time per step, stored tuples, and RSS growth per stored
-// tuple while copies are held.
+// Reported: CPU time per step, stored tuples, RSS growth per stored tuple
+// while copies are held, and minor page faults per copy and per Put
+// (`minflt`, getrusage deltas around the timed step): a copy whose arrays
+// land on pages the allocator gave back to the kernel faults them in.
 //
 // The index block prices the read side of the column indexes the checks
 // probe: `Relation::Matches` on `enrolled.$0` (c1's lookup, one student
@@ -33,16 +35,18 @@
 //   ./build/bench/bench_integrity [--json] [--benchmark_min_time=0.01]
 
 #include <malloc.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/physical/tuple_table.h"
+#include "storage/tuple_table.h"
 
 namespace bryql {
 namespace {
@@ -155,7 +159,7 @@ void BM_IndexMatches(benchmark::State& state) {
   const Relation& rel = **SharedDb().Get(name);
   std::vector<Value> keys;  // each distinct value once, in row order
   Relation distinct(1);
-  for (const Tuple& row : rel.rows()) {
+  for (const RowView row : rel.rows()) {
     if (*distinct.Insert(Tuple({row.at(column)}))) {
       keys.push_back(row.at(column));
     }
@@ -179,9 +183,18 @@ void BM_IndexMatches(benchmark::State& state) {
 
 constexpr const char* kHashed[] = {"enrolled", "attends"};
 
-/// The rows of kHashed[state.range(0)] in the E17 database.
+/// The rows of kHashed[state.range(0)] in the E17 database, as tuples
+/// (the engine hashes the rows of its batches).
 const std::vector<Tuple>& HashedRows(benchmark::State& state) {
-  return (*SharedDb().Get(kHashed[state.range(0)]))->rows();
+  static const auto rows = [] {
+    std::array<std::vector<Tuple>, std::size(kHashed)> copied;
+    for (size_t i = 0; i < std::size(kHashed); ++i) {
+      const RowRange stored = (*SharedDb().Get(kHashed[i]))->rows();
+      copied[i].assign(stored.begin(), stored.end());
+    }
+    return copied;
+  }();
+  return rows[state.range(0)];
 }
 
 /// Reports CPU time per row (`per_row`, in seconds) over `rows` rows
@@ -298,17 +311,34 @@ void ReportTuples(benchmark::State& state, const Database& db) {
       benchmark::Counter(static_cast<double>(StoredTuples(db)));
 }
 
+/// Minor page faults of this process so far.
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// Reports `faults` minor faults over the run as `minflt` per iteration.
+void ReportFaults(benchmark::State& state, long faults) {
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+
 void BM_StorageCopy(benchmark::State& state) {
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
   const double rss_per_tuple = RssBytesPerTuple(db);
+  long faults = 0;
   for (auto _ : state) {
+    const long before = MinorFaults();
     std::vector<Relation> copies = CopyWritten(db);
     benchmark::DoNotOptimize(copies.data());
+    faults += MinorFaults() - before;
     state.PauseTiming();  // freeing the copies is BM_StoragePut's cost
     copies.clear();
     state.ResumeTiming();
   }
   ReportTuples(state, db);
+  ReportFaults(state, faults);
   state.counters["rss_B_per_tuple"] = benchmark::Counter(rss_per_tuple);
 }
 
@@ -331,15 +361,19 @@ void BM_StorageInsert(benchmark::State& state) {
 
 void BM_StoragePut(benchmark::State& state) {
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
+  long faults = 0;
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<Relation> copies = CopyWritten(db);
     state.ResumeTiming();
+    const long before = MinorFaults();
     for (size_t k = 0; k < kNumWritten; ++k) {
       db.Put(kWritten[k], std::move(copies[k]));
     }
+    faults += MinorFaults() - before;
   }
   ReportTuples(state, db);
+  ReportFaults(state, faults);
 }
 
 BENCHMARK(BM_Check)->DenseRange(0, kNumConstraints - 1)->Unit(

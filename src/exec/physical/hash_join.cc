@@ -28,14 +28,14 @@ Status ProductOp::NextBatch(TupleBatch* out) {
         break;
       }
     }
-    if (right_index_ < right_view_->rows().size()) {
-      ConcatInto(current_left_.values(),
-                 right_view_->rows()[right_index_++].values(), out->AddSlot());
-      if (right_index_ == right_view_->rows().size()) right_index_ = 0;
+    if (right_index_ < right_view_->size()) {
+      ConcatInto(current_left_.values(), right_view_->Row(right_index_++),
+                 out->AddSlot());
+      if (right_index_ == right_view_->size()) right_index_ = 0;
       continue;
     }
     right_index_ = 0;
-    if (right_view_->rows().empty()) {
+    if (right_view_->empty()) {
       left_done_ = true;
       break;
     }

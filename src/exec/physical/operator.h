@@ -10,10 +10,10 @@
 #include "common/batch.h"
 #include "common/governor.h"
 #include "common/result.h"
-#include "exec/physical/tuple_table.h"
 #include "exec/stats.h"
 #include "storage/database.h"
 #include "storage/relation.h"
+#include "storage/tuple_table.h"
 
 namespace bryql {
 

@@ -140,12 +140,12 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              db_->Get(node->relation_name));
       shared_.morsels.emplace(
-          node.get(), std::make_unique<MorselSource>(rel->rows().size()));
+          node.get(), std::make_unique<MorselSource>(rel->size()));
       return Status::Ok();
     }
     case PhysicalKind::kLiteralScan: {
       shared_.morsels.emplace(node.get(), std::make_unique<MorselSource>(
-                                              node->literal->rows().size()));
+                                              node->literal->size()));
       return Status::Ok();
     }
     case PhysicalKind::kIndexScan: {
@@ -156,7 +156,7 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       const size_t size =
           rel->HasIndex(node->index_column)
               ? rel->Matches(node->index_column, node->index_value).size()
-              : rel->rows().size();
+              : rel->size();
       shared_.morsels.emplace(node.get(),
                               std::make_unique<MorselSource>(size));
       return Status::Ok();
@@ -168,7 +168,7 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              db_->Get(node->relation_name));
       shared_.morsels.emplace(
-          node.get(), std::make_unique<MorselSource>(rel->rows().size()));
+          node.get(), std::make_unique<MorselSource>(rel->size()));
       return Status::Ok();
     }
     case PhysicalKind::kFilter:
@@ -224,7 +224,7 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
                              MaterializeSerial(node, /*counted=*/false));
       auto owned = std::make_unique<Relation>(std::move(rel));
       shared_.morsels.emplace(
-          node.get(), std::make_unique<MorselSource>(owned->rows().size()));
+          node.get(), std::make_unique<MorselSource>(owned->size()));
       shared_.relations.emplace(node.get(), std::move(owned));
       return Status::Ok();
     }
@@ -241,7 +241,7 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       }
       auto owned = std::make_unique<Relation>(std::move(rel));
       shared_.morsels.emplace(
-          node.get(), std::make_unique<MorselSource>(owned->rows().size()));
+          node.get(), std::make_unique<MorselSource>(owned->size()));
       shared_.relations.emplace(node.get(), std::move(owned));
       return Status::Ok();
     }

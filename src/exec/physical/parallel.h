@@ -63,7 +63,7 @@ class ShardedTupleSet {
     const size_t hash = t.Hash();
     Shard& shard = shards_[ShardOf(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.set.Insert(t, hash);
+    return shard.set.Insert(t.values(), hash);
   }
 
   /// True when (src[cols[0]], ...) was fresh; hashed in place, as

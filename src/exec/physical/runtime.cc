@@ -137,7 +137,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
   if (ctx_.shared != nullptr) {
     if (const Relation* rel = ctx_.shared->FindRelation(node.get())) {
       op = PhysicalOpPtr(new BorrowedRelationScanOp(
-          &rel->rows(), ctx_.shared->FindMorsels(node.get())));
+          rel, ctx_.shared->FindMorsels(node.get())));
       return PhysicalOpPtr(new TimedOp(std::move(op), node->Label(),
                                        ctx_.stats, op_index, depth,
                                        ctx_.governor));
@@ -153,12 +153,12 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              ctx_.db->Get(node->relation_name));
-      op = PhysicalOpPtr(new TableScanOp(&rel->rows(), ctx_, morsels));
+      op = PhysicalOpPtr(new TableScanOp(rel, ctx_, morsels));
       break;
     }
     case PhysicalKind::kLiteralScan: {
       op = PhysicalOpPtr(
-          new TableScanOp(&node->literal->rows(), ctx_, morsels));
+          new TableScanOp(node->literal.get(), ctx_, morsels));
       break;
     }
     case PhysicalKind::kIndexScan: {
@@ -174,7 +174,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
         if (node->predicate != nullptr) parts.push_back(node->predicate);
         PredicatePtr full = parts.size() == 1 ? std::move(parts[0])
                                               : Predicate::And(std::move(parts));
-        PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
+        PhysicalOpPtr scan(new TableScanOp(rel, ctx_, morsels));
         op = PhysicalOpPtr(
             new FilterOp(std::move(scan), std::move(full), ctx_));
         break;
@@ -193,7 +193,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
         // The column store the plan was lowered against no longer exists
         // (stale cached plan, or the relation was replaced). Recover on
         // the row path: full scan plus the pushed-down predicate.
-        PhysicalOpPtr scan(new TableScanOp(&rel->rows(), ctx_, morsels));
+        PhysicalOpPtr scan(new TableScanOp(rel, ctx_, morsels));
         op = node->predicate == nullptr
                  ? std::move(scan)
                  : PhysicalOpPtr(

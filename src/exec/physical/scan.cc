@@ -23,7 +23,7 @@ Status TableScanOp::NextBatch(TupleBatch* out) {
     }
     if (!ctx_.governor->AdmitScan()) return ctx_.governor->status();
     ++ctx_.stats->tuples_scanned;
-    *out->AddSlot() = (*rows_)[index_++];
+    out->AddSlot()->Assign(rel_->Row(index_++));
   }
   return Status::Ok();
 }
@@ -35,11 +35,12 @@ Status IndexScanOp::NextBatch(TupleBatch* out) {
       if (!Advance(morsels_, &index_, &limit_)) break;
     }
     if (!ctx_.governor->AdmitScan()) return ctx_.governor->status();
-    const Tuple& row = rel_->rows()[matches_[index_++]];
+    Tuple* slot = out->AddSlot();
+    slot->Assign(rel_->Row(matches_[index_++]));
     ++ctx_.stats->tuples_scanned;
-    if (residual_ == nullptr ||
-        residual_->Eval(row, &ctx_.stats->comparisons)) {
-      *out->AddSlot() = row;
+    if (residual_ != nullptr &&
+        !residual_->Eval(*slot, &ctx_.stats->comparisons)) {
+      out->PopSlot();
     }
   }
   return Status::Ok();
@@ -47,8 +48,8 @@ Status IndexScanOp::NextBatch(TupleBatch* out) {
 
 Status RelationSourceOp::NextBatch(TupleBatch* out) {
   out->Clear();
-  while (!out->full() && index_ < rel_.rows().size()) {
-    *out->AddSlot() = rel_.rows()[index_++];
+  while (!out->full() && index_ < rel_.size()) {
+    out->AddSlot()->Assign(rel_.Row(index_++));
   }
   return Status::Ok();
 }
@@ -59,7 +60,7 @@ Status BorrowedRelationScanOp::NextBatch(TupleBatch* out) {
     if (index_ >= limit_) {
       if (!Advance(morsels_, &index_, &limit_)) break;
     }
-    *out->AddSlot() = (*rows_)[index_++];
+    out->AddSlot()->Assign(rel_->Row(index_++));
   }
   return Status::Ok();
 }

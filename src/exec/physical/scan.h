@@ -14,7 +14,7 @@ namespace bryql {
 
 class MorselSource;
 
-/// Full scan over a borrowed row vector (base relations and literals).
+/// Full scan over a borrowed relation (base relations and literals).
 /// Every row read is admitted through the governor as a base-table scan.
 ///
 /// With a MorselSource (parallel workers) the scan reads whatever row
@@ -23,19 +23,19 @@ class MorselSource;
 /// collective scan admissions equal the serial count.
 class TableScanOp : public PhysicalOperator {
  public:
-  TableScanOp(const std::vector<Tuple>* rows, PhysicalContext ctx,
+  TableScanOp(const Relation* rel, PhysicalContext ctx,
               MorselSource* morsels = nullptr)
-      : rows_(rows), ctx_(ctx), morsels_(morsels),
-        limit_(morsels == nullptr ? rows->size() : 0) {}
+      : rel_(rel), ctx_(ctx), morsels_(morsels),
+        limit_(morsels == nullptr ? rel->size() : 0) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
-  const std::vector<Tuple>* rows_;
+  const Relation* rel_;
   PhysicalContext ctx_;
   MorselSource* morsels_;
   size_t index_ = 0;
-  size_t limit_;  // end of the current morsel (== rows->size() serially)
+  size_t limit_;  // end of the current morsel (== rel->size() serially)
 };
 
 /// Hash-index bucket lookup with a residual filter. Only touched rows
@@ -89,15 +89,15 @@ class RelationSourceOp : public PhysicalOperator {
 /// partitions the rows across the workers sharing them.
 class BorrowedRelationScanOp : public PhysicalOperator {
  public:
-  explicit BorrowedRelationScanOp(const std::vector<Tuple>* rows,
+  explicit BorrowedRelationScanOp(const Relation* rel,
                                   MorselSource* morsels = nullptr)
-      : rows_(rows), morsels_(morsels),
-        limit_(morsels == nullptr ? rows->size() : 0) {}
+      : rel_(rel), morsels_(morsels),
+        limit_(morsels == nullptr ? rel->size() : 0) {}
   Status Open() override { return Status::Ok(); }
   Status NextBatch(TupleBatch* out) override;
 
  private:
-  const std::vector<Tuple>* rows_;
+  const Relation* rel_;
   MorselSource* morsels_;
   size_t index_ = 0;
   size_t limit_;

@@ -230,15 +230,14 @@ class Interpreter {
           index_rows = rel->Matches(i, *bound);
           break;
         }
-        size_t row_count =
-            index_rows ? index_rows->size() : rel->rows().size();
+        size_t row_count = index_rows ? index_rows->size() : rel->size();
         for (size_t r = 0; r < row_count; ++r) {
           // Innermost loop of the whole Figure 1 interpreter: every row of
           // every loop level passes through here, so the admission check
           // bounds total work regardless of nesting depth.
           if (!governor_->AdmitScan()) return governor_->status();
-          const Tuple& row = index_rows ? rel->rows()[(*index_rows)[r]]
-                                        : rel->rows()[r];
+          const std::span<const Value> row =
+              rel->Row(index_rows ? (*index_rows)[r] : r);
           ++stats_->tuples_scanned;
           std::vector<std::string> newly_bound;
           bool match = true;
@@ -247,9 +246,9 @@ class Interpreter {
             std::optional<Value> bound = Resolve(t, env);
             if (bound) {
               ++stats_->comparisons;
-              match = *bound == row.at(i);
+              match = *bound == row[i];
             } else {
-              env.emplace(t.var(), row.at(i));
+              env.emplace(t.var(), row[i]);
               newly_bound.push_back(t.var());
             }
           }

@@ -73,11 +73,11 @@ ColumnStore::ColumnStore(const ColumnStore& other)
   }
 }
 
-void ColumnStore::Append(const Tuple& tuple) {
+void ColumnStore::Append(std::span<const Value> row) {
   const size_t seg = rows_ / kSegmentRows;
   for (size_t c = 0; c < columns_.size(); ++c) {
     Column& col = columns_[c];
-    const Value& v = tuple.at(c);
+    const Value& v = row[c];
     if (seg == col.zones.size()) col.zones.emplace_back();
     col.kinds.push_back(static_cast<uint8_t>(v.kind()));
     col.data.push_back(PayloadOf(v, &col));

@@ -2,6 +2,7 @@
 #define BRYQL_STORAGE_COLUMNAR_COLUMN_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,8 @@ class ColumnStore {
   ColumnStore& operator=(const ColumnStore&) = delete;
 
   /// Appends one row. The caller (Relation) guarantees the arity matches
-  /// and the tuple is not a duplicate.
-  void Append(const Tuple& tuple);
+  /// and the row is not a duplicate.
+  void Append(std::span<const Value> row);
 
   size_t arity() const { return columns_.size(); }
   size_t rows() const { return rows_; }

@@ -83,10 +83,11 @@ Result<Relation> RelationFromCsvFile(const std::string& path) {
 
 Result<std::string> RelationToCsv(const Relation& relation) {
   std::string out;
-  for (const Tuple& t : relation.rows()) {
-    for (size_t i = 0; i < t.arity(); ++i) {
+  for (size_t r = 0; r < relation.size(); ++r) {
+    const std::span<const Value> row = relation.Row(r);
+    for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += ",";
-      const Value& v = t.at(i);
+      const Value& v = row[i];
       switch (v.kind()) {
         case ValueKind::kNull:
         case ValueKind::kMark:

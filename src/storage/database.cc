@@ -87,8 +87,8 @@ std::vector<std::string> Database::Names() const {
 Relation Database::ActiveDomain() const {
   Relation dom(1);
   for (const auto& [name, rel] : relations_) {
-    for (const Tuple& t : rel.rows()) {
-      for (const Value& v : t.values()) dom.Insert(Tuple({v}));
+    for (size_t r = 0; r < rel.size(); ++r) {
+      for (const Value& v : rel.Row(r)) dom.Insert(std::span(&v, 1));
     }
   }
   return dom;

@@ -10,35 +10,31 @@ bool IsNan(const Value& v) {
   return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
 }
 
-bool HasNan(const Tuple& t) {
-  return std::ranges::any_of(t.values(), IsNan);
+bool HasNan(std::span<const Value> row) {
+  return std::ranges::any_of(row, IsNan);
 }
 
 /// Row equality for set comparison: each value equal, or both NaN.
-bool SameRow(const Tuple& x, const Tuple& y) {
-  for (size_t i = 0; i < x.arity(); ++i) {
-    if (!(x.at(i) == y.at(i)) && !(IsNan(x.at(i)) && IsNan(y.at(i)))) {
-      return false;
-    }
+bool SameRow(std::span<const Value> x, std::span<const Value> y) {
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (!(x[i] == y[i]) && !(IsNan(x[i]) && IsNan(y[i]))) return false;
   }
   return true;
 }
 
 }  // namespace
 
+// The row table, the column indexes and the column store each keep the
+// source's spare capacity: a commit copies a relation and then inserts
+// into the copy, and exactly sized arrays would be reallocated whole by
+// the first Insert.
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
-      slots_(other.slots_),
+      rows_(other.rows_),
       column_indexes_(other.column_indexes_),
       columnar_(other.columnar_
                     ? std::make_unique<ColumnStore>(*other.columnar_)
-                    : nullptr) {
-  // Keep the source's spare capacity: a commit copies a relation and then
-  // inserts into the copy, and an exactly sized copy would reallocate
-  // its whole row vector on the first Insert.
-  rows_.reserve(other.rows_.capacity());
-  rows_ = other.rows_;
-}
+                    : nullptr) {}
 
 Relation::ColumnIndex::ColumnIndex(const ColumnIndex& other)
     : keys(other.keys) {
@@ -67,32 +63,31 @@ Result<Relation> Relation::FromRows(std::vector<Tuple> rows) {
   return rel;
 }
 
-Result<bool> Relation::Insert(Tuple tuple) {
-  if (tuple.arity() != arity_) {
+Result<bool> Relation::Insert(std::span<const Value> row) {
+  if (row.size() != arity_) {
     return Status::InvalidArgument(
-        "Insert: tuple arity " + std::to_string(tuple.arity()) +
+        "Insert: tuple arity " + std::to_string(row.size()) +
         " does not match relation arity " + std::to_string(arity_));
   }
-  const uint32_t hash = MixHash(tuple);
-  const size_t at = FindSlot(tuple, hash);
-  if (slots_.RowAt(at) != SlotTable::kNoRow) return false;
-  if (rows_.size() >= kMaxRows) {
+  const size_t hash = HashValues(row);
+  if (size() >= kMaxRows) {
+    // Checked here, before the row table would throw.
+    if (rows_.Contains(row, hash)) return false;
     return Status::ResourceExhausted(
         "Insert: relation already holds the maximum of " +
         std::to_string(kMaxRows) + " rows");
   }
-  const uint32_t row = static_cast<uint32_t>(rows_.size());
-  slots_.Place(at, hash, row);
-  rows_.push_back(std::move(tuple));
+  if (!rows_.Insert(row, hash)) return false;
+  const uint32_t id = static_cast<uint32_t>(size() - 1);
   for (auto& [column, column_index] : column_indexes_) {
-    IndexRow(&column_index, column, row);
+    IndexRow(&column_index, column, id);
   }
-  if (columnar_) columnar_->Append(rows_.back());
+  if (columnar_) columnar_->Append(Row(id));
   return true;
 }
 
 void Relation::IndexRow(ColumnIndex* index, size_t column, uint32_t row) {
-  const Value& value = rows_[row].at(column);
+  const Value& value = Row(row)[column];
   const uint32_t hash = SlotTable::Mix(value.Hash());
   const size_t at = FindKey(*index, column, value, hash);
   const uint32_t key = index->keys.RowAt(at);
@@ -121,7 +116,7 @@ void Relation::IndexRow(ColumnIndex* index, size_t column, uint32_t row) {
 
 void Relation::BuildColumnStore() {
   columnar_ = std::make_unique<ColumnStore>(arity_);
-  for (const Tuple& t : rows_) columnar_->Append(t);
+  for (size_t r = 0; r < size(); ++r) columnar_->Append(Row(r));
 }
 
 Status Relation::BuildIndex(size_t column) {
@@ -136,9 +131,9 @@ Status Relation::BuildIndex(size_t column) {
   // hold, so the next rows of an existing key (a commit's insert into a
   // copy of this relation) fill the list in place instead of moving it.
   ColumnIndex built;
-  std::vector<uint32_t> key_of(rows_.size());
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    const Value& value = rows_[r].at(column);
+  std::vector<uint32_t> key_of(size());
+  for (size_t r = 0; r < size(); ++r) {
+    const Value& value = Row(r)[column];
     const uint32_t hash = SlotTable::Mix(value.Hash());
     const size_t at = FindKey(built, column, value, hash);
     uint32_t key = built.keys.RowAt(at);
@@ -159,7 +154,7 @@ Status Relation::BuildIndex(size_t column) {
   }
   built.positions.reserve(begin + begin / 8);
   built.positions.resize(begin);
-  for (size_t r = 0; r < rows_.size(); ++r) {
+  for (size_t r = 0; r < size(); ++r) {
     ColumnIndex::List& list = built.lists[key_of[r]];
     built.positions[list.begin + list.count++] = static_cast<uint32_t>(r);
   }
@@ -185,7 +180,7 @@ size_t Relation::IndexKeyCount(size_t column) const {
 }
 
 std::vector<Tuple> Relation::SortedRows() const {
-  std::vector<Tuple> sorted = rows_;
+  std::vector<Tuple> sorted(rows_.rows().begin(), rows_.rows().end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
@@ -196,17 +191,18 @@ bool operator==(const Relation& a, const Relation& b) {
   // rows never dedup, so they are paired one to one instead, NaN with
   // NaN. Every other row of a must be a member of b; with the sizes
   // equal, that pairs the rest.
-  std::vector<const Tuple*> unpaired;  // b's NaN rows
-  for (const Tuple& t : b.rows_) {
-    if (HasNan(t)) unpaired.push_back(&t);
+  std::vector<std::span<const Value>> unpaired;  // b's NaN rows
+  for (size_t r = 0; r < b.size(); ++r) {
+    if (HasNan(b.Row(r))) unpaired.push_back(b.Row(r));
   }
-  for (const Tuple& t : a.rows_) {
+  for (size_t r = 0; r < a.size(); ++r) {
+    const std::span<const Value> t = a.Row(r);
     if (!HasNan(t)) {
       if (!b.Contains(t)) return false;
       continue;
     }
     auto it = std::ranges::find_if(
-        unpaired, [&t](const Tuple* u) { return SameRow(t, *u); });
+        unpaired, [&t](std::span<const Value> u) { return SameRow(t, u); });
     if (it == unpaired.end()) return false;
     *it = unpaired.back();
     unpaired.pop_back();
@@ -220,8 +216,8 @@ std::string Relation::ToString() const {
   out += " tuples, arity ";
   out += std::to_string(arity_);
   out += "]\n";
-  for (const Tuple& t : rows_) {
-    out += "  " + t.ToString() + "\n";
+  for (size_t r = 0; r < size(); ++r) {
+    out += "  " + ValuesToString(Row(r)) + "\n";
   }
   return out;
 }

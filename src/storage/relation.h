@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "storage/columnar/column_store.h"
 #include "storage/tuple.h"
+#include "storage/tuple_table.h"
 
 namespace bryql {
 
@@ -20,10 +21,13 @@ namespace bryql {
 /// one arity. Insertion order is preserved for deterministic iteration and
 /// readable test output; membership is hash-indexed.
 ///
-/// Each row is stored once, in rows(). Membership is a SlotTable: a flat
-/// open-addressing table of 8-byte slots, each a 32-bit row id into rows()
-/// and 32 bits of the row's hash, so a relation holds at most 2^32 - 1
-/// rows: the Insert that would exceed that fails with kResourceExhausted.
+/// The rows live in a set-mode TupleTable, the table the batched engine
+/// hashes with: packed at arity stride in an arena of chunks of at most
+/// 64 KB, row ids in insertion order, hash-indexed by a SlotTable of
+/// 32-bit row ids. So copying a relation copies a few chunk arrays, and
+/// freeing one frees them, with no heap block per row. A relation holds at
+/// most 2^32 - 1 rows: the Insert that would exceed that fails with
+/// kResourceExhausted.
 ///
 /// The relational model of the paper is pure sets (domain calculus), so the
 /// engine works with Relation everywhere — base tables and intermediate
@@ -48,21 +52,30 @@ class Relation {
 
   size_t arity() const { return arity_; }
   size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  bool empty() const { return size() == 0; }
 
-  /// Inserts a tuple; returns true when the tuple was new. A tuple whose
-  /// arity differs from the relation's is rejected with kInvalidArgument —
+  /// Inserts a row; returns true when it was new. A row whose arity
+  /// differs from the relation's is rejected with kInvalidArgument —
   /// never inserted, never asserted on — so malformed input cannot corrupt
-  /// the row store. kResourceExhausted when a new tuple would take the
+  /// the row store. kResourceExhausted when a new row would take the
   /// relation past 2^32 - 1 rows.
-  Result<bool> Insert(Tuple tuple);
+  Result<bool> Insert(std::span<const Value> row);
+  Result<bool> Insert(const Tuple& tuple) { return Insert(tuple.values()); }
 
-  bool Contains(const Tuple& tuple) const {
-    return slots_.RowAt(FindSlot(tuple, MixHash(tuple))) != SlotTable::kNoRow;
+  /// Whether an equal row is stored (compared in place in the arena).
+  bool Contains(std::span<const Value> row) const {
+    return row.size() == arity_ && rows_.Contains(row, HashValues(row));
   }
+  bool Contains(const Tuple& tuple) const { return Contains(tuple.values()); }
 
-  /// Tuples in insertion order.
-  const std::vector<Tuple>& rows() const { return rows_; }
+  /// The values of row `i` (insertion order), valid until the next
+  /// Insert.
+  std::span<const Value> Row(size_t i) const {
+    return rows_.Row(static_cast<uint32_t>(i));
+  }
+  /// Rows in insertion order, as a random-access range of RowViews, valid
+  /// until the next Insert.
+  RowRange rows() const { return rows_.rows(); }
 
   /// Rows sorted by value — canonical order for comparisons in tests.
   std::vector<Tuple> SortedRows() const;
@@ -116,7 +129,7 @@ class Relation {
 
  private:
   /// The index on one column. Key ids are found by value hash in `keys`;
-  /// key id k holds the value of rows()[lists[k].row].at(column) and its
+  /// key id k holds the value of Row(lists[k].row)[column] and its
   /// row positions positions[begin, begin + count), ascending, in an
   /// arena shared by every key. BuildIndex lays the lists out with an
   /// eighth of headroom; a list that is full moves to the arena's end
@@ -131,7 +144,7 @@ class Relation {
       uint32_t count = 0;
     };
     ColumnIndex() = default;
-    /// Keeps the source's spare capacity, as the row store does.
+    /// Keeps the source's spare capacity, as the row table does.
     ColumnIndex(const ColumnIndex& other);
     ColumnIndex& operator=(const ColumnIndex&) = delete;
     ColumnIndex(ColumnIndex&&) = default;
@@ -147,7 +160,7 @@ class Relation {
   size_t FindKey(const ColumnIndex& index, size_t column, const Value& value,
                  uint32_t hash) const {
     return index.keys.Find(hash, [&](uint32_t key) {
-      return rows_[index.lists[key].row].at(column) == value;
+      return Row(index.lists[key].row)[column] == value;
     });
   }
   /// Files row `row` (the last of rows()) under its value in `*index`.
@@ -155,20 +168,9 @@ class Relation {
 
   static constexpr size_t kMaxRows = SlotTable::kMaxRows;
 
-  static uint32_t MixHash(const Tuple& tuple) {
-    return SlotTable::Mix(tuple.Hash());
-  }
-
-  /// The slot holding `tuple`, or the free slot where it would go.
-  size_t FindSlot(const Tuple& tuple, uint32_t hash) const {
-    return slots_.Find(hash,
-                       [&](uint32_t row) { return rows_[row] == tuple; });
-  }
-
   size_t arity_;
-  std::vector<Tuple> rows_;
-  /// Row ids of rows(), by hash; empty with no rows.
-  SlotTable slots_;
+  /// The rows, a set in insertion order; row id == position in rows().
+  TupleTable rows_;
   std::map<size_t, ColumnIndex> column_indexes_;
   std::unique_ptr<ColumnStore> columnar_;
 };

@@ -15,11 +15,11 @@ Tuple Tuple::Project(const std::vector<size_t>& indices) const {
   return Tuple(std::move(values));
 }
 
-std::string Tuple::ToString() const {
+std::string ValuesToString(std::span<const Value> values) {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += values[i].ToString();
   }
   out += ")";
   return out;

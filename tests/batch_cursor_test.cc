@@ -48,7 +48,8 @@ TEST(BatchCursorTest, PullsAtAnyCapacityYieldTheRowsInOrder) {
       if (!have) break;
       pulled.push_back(t);
     }
-    EXPECT_EQ(pulled, rel.rows()) << "capacity " << capacity;
+    EXPECT_EQ(pulled, std::vector<Tuple>(rel.rows().begin(), rel.rows().end()))
+        << "capacity " << capacity;
   }
 }
 

@@ -314,7 +314,9 @@ inline void ExpectStaleIndexFallsBack(size_t threads) {
   ASSERT_TRUE(indexed.ok());
   ASSERT_TRUE(indexed->answer.truth);
 
-  Result<Relation> copy = Relation::FromRows((*db.Get("enrolled"))->rows());
+  const RowRange rows = (*db.Get("enrolled"))->rows();
+  Result<Relation> copy =
+      Relation::FromRows(std::vector<Tuple>(rows.begin(), rows.end()));
   ASSERT_TRUE(copy.ok());
   ASSERT_FALSE(copy->HasIndex(0));
   db.Put("enrolled", std::move(*copy));

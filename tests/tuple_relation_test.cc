@@ -4,12 +4,15 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <ranges>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "storage/builder.h"
+#include "storage/database.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
 
@@ -423,6 +426,179 @@ TEST(RelationMembershipTest, MatchesPositionsIndexRows) {
       }
     }
   }
+}
+
+// rows() is a random-access range of row views; a view binds to
+// `const Tuple&` (as a copy), so `for (const Tuple& t : rel.rows())`
+// compiles, as callers outside the library write it.
+static_assert(std::ranges::random_access_range<RowRange>);
+static_assert(std::ranges::borrowed_range<RowRange>);
+static_assert(std::is_convertible_v<std::ranges::range_reference_t<RowRange>,
+                                    const Tuple&>);
+
+TEST(RelationRowsTest, RowViewsBindToConstTupleRef) {
+  const Relation rel = StringPairs({{"a", "x"}, {"b", "y"}, {"a", "y"}});
+  std::vector<Tuple> seen;
+  for (const Tuple& t : rel.rows()) seen.push_back(t);
+  EXPECT_EQ(seen, (std::vector<Tuple>{Strs({"a", "x"}), Strs({"b", "y"}),
+                                      Strs({"a", "y"})}));
+  const RowRange rows = rel.rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.end() - rows.begin(), 3);
+  EXPECT_EQ(rows[1], Strs({"b", "y"}));
+  EXPECT_EQ(rows[2].ToString(), "('a', 'y')");
+  EXPECT_EQ(rel.Row(0).data(), rows.front().values().data());  // in place
+  EXPECT_EQ(std::ranges::find(rel.rows(), Strs({"b", "y"})) - rows.begin(), 1);
+}
+
+/// Checks `rel` against `reference` (its rows in insertion order): rows()
+/// and Row() row for row, membership of every row and probe, the index
+/// positions of every value on each indexed column, and the column
+/// store's rows when there is one.
+void ExpectFlatRowsMatch(const Relation& rel,
+                         const std::vector<Tuple>& reference,
+                         const std::vector<Tuple>& probes) {
+  ExpectMatchesReference(rel, reference, probes);
+  ASSERT_EQ(rel.rows().size(), reference.size());
+  size_t i = 0;
+  for (const RowView row : rel.rows()) {
+    ASSERT_EQ(row.arity(), rel.arity());
+    ASSERT_EQ(row.values().data(), rel.Row(i).data());
+    ASSERT_TRUE(SameRow(row, reference[i++]));
+  }
+  for (size_t column = 0; column < rel.arity(); ++column) {
+    if (!rel.HasIndex(column)) continue;
+    for (const Tuple& t : probes) {
+      std::vector<uint32_t> expected;
+      for (size_t r = 0; r < reference.size(); ++r) {
+        if (reference[r].at(column) == t.at(column)) expected.push_back(r);
+      }
+      const std::span<const uint32_t> hits = rel.Matches(column, t.at(column));
+      EXPECT_EQ(std::vector<uint32_t>(hits.begin(), hits.end()), expected)
+          << "column " << column << " value " << t.at(column).ToString();
+    }
+  }
+  if (const ColumnStore* store = rel.column_store()) {
+    ASSERT_EQ(store->rows(), reference.size());
+    Tuple gathered;
+    for (size_t r = 0; r < reference.size(); ++r) {
+      store->MaterializeRow(r, &gathered);
+      ASSERT_TRUE(SameRow(gathered, reference[r])) << r;
+    }
+  }
+}
+
+/// Inserts up to `attempts` random rows into `rel` and `reference`
+/// alike, checking each Insert's verdict against a linear scan.
+void InsertRandom(std::mt19937_64& rng, size_t attempts, int64_t spread,
+                  Relation* rel, std::vector<Tuple>* reference) {
+  for (size_t a = 0; a < attempts; ++a) {
+    const Tuple t = RandomTuple(rng, rel->arity(), spread);
+    const bool fresh = !ReferenceContains(*reference, t);
+    const Result<bool> inserted = rel->Insert(t);
+    ASSERT_TRUE(inserted.ok());
+    ASSERT_EQ(*inserted, fresh) << t.ToString();
+    if (fresh) reference->push_back(t);
+  }
+}
+
+TEST(RelationMembershipTest, FlatRowsAgainstVectorReference) {
+  std::mt19937_64 rng(16);
+  // Sizes straddle the arena's chunks (1024 rows of arity 1, 512 of
+  // arity 2 and 3) and the slot table's doublings.
+  for (size_t arity : {1, 2, 3}) {
+    for (size_t target : {0, 1, 7, 600, 1300}) {
+      for (bool build_before_copy : {true, false}) {
+        SCOPED_TRACE("arity " + std::to_string(arity) + " target " +
+                     std::to_string(target) +
+                     (build_before_copy ? " built before" : " built after"));
+        const int64_t spread = 2 + static_cast<int64_t>(target);
+        Relation rel(arity);
+        std::vector<Tuple> reference;
+        if (build_before_copy) {
+          ASSERT_TRUE(rel.BuildIndex(0).ok());  // maintained by Insert
+          rel.BuildColumnStore();
+        }
+        InsertRandom(rng, target + target / 4, spread, &rel, &reference);
+        std::vector<Tuple> probes;
+        for (size_t i = 0; i < 100; ++i) {
+          probes.push_back(RandomTuple(rng, arity, spread + 3));
+        }
+        ExpectFlatRowsMatch(rel, reference, probes);
+
+        // A commit: copy, insert into the copy, install it with Put.
+        Relation copy = rel;
+        std::vector<Tuple> copy_reference = reference;
+        if (!build_before_copy) {
+          ASSERT_TRUE(copy.BuildIndex(arity - 1).ok());
+          copy.BuildColumnStore();
+        }
+        InsertRandom(rng, target / 2 + 3, spread + 1, &copy, &copy_reference);
+        ExpectFlatRowsMatch(rel, reference, probes);  // unchanged
+        ExpectFlatRowsMatch(copy, copy_reference, probes);
+        EXPECT_EQ(copy == rel, ReferenceEqual(copy_reference, reference));
+
+        Database db;
+        db.Put("r", rel);
+        db.Put("r", std::move(copy));
+        // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state.
+        EXPECT_TRUE(copy.empty());
+        EXPECT_TRUE(copy.rows().empty());
+        EXPECT_FALSE(copy.Contains(copy_reference.empty()
+                                       ? Tuple(std::vector<Value>(arity))
+                                       : copy_reference.front()));
+        const Relation* installed = *db.Get("r");
+        ExpectFlatRowsMatch(*installed, copy_reference, probes);
+
+        // The moved-from relation takes rows again, from an empty arena.
+        std::vector<Tuple> moved_reference;
+        InsertRandom(rng, 40, spread, &copy, &moved_reference);
+        ExpectFlatRowsMatch(copy, moved_reference, probes);
+      }
+    }
+  }
+}
+
+TEST(RelationMembershipTest, FlatRowsOfArityZero) {
+  Relation no(0);  // {}: false
+  EXPECT_TRUE(no.empty());
+  EXPECT_TRUE(no.rows().empty());
+  EXPECT_FALSE(no.Contains(Tuple{}));
+  EXPECT_EQ(no.ToString(), "[0 tuples, arity 0]\n");
+
+  Relation yes = no;  // {()}: true
+  EXPECT_TRUE(*yes.Insert(Tuple{}));
+  EXPECT_FALSE(*yes.Insert(Tuple{}));
+  EXPECT_EQ(yes.size(), 1u);
+  EXPECT_TRUE(yes.Contains(Tuple{}));
+  EXPECT_FALSE(no.Contains(Tuple{}));
+  EXPECT_EQ(yes.rows()[0].arity(), 0u);
+  EXPECT_TRUE(yes.Row(0).empty());
+  EXPECT_EQ(yes.rows()[0], Tuple{});
+  EXPECT_FALSE(yes.Insert(Ints({1})).ok());  // arity mismatch
+  EXPECT_FALSE(yes == no);
+
+  Database db;
+  db.Put("t", yes);
+  Relation copy = **db.Get("t");
+  EXPECT_TRUE(copy == yes);
+  Relation moved = std::move(copy);
+  EXPECT_TRUE(moved.Contains(Tuple{}));
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state.
+  EXPECT_TRUE(copy.empty());
+  EXPECT_FALSE(copy.Contains(Tuple{}));
+  EXPECT_TRUE(*copy.Insert(Tuple{}));
+  db.Put("t", std::move(moved));
+  EXPECT_TRUE((*db.Get("t"))->Contains(Tuple{}));
+}
+
+TEST(RelationMembershipTest, ContainsRejectsAProbeOfAnotherArity) {
+  Relation rel(2);
+  ASSERT_TRUE(*rel.Insert(Ints({1, 2})));
+  EXPECT_FALSE(rel.Contains(Ints({1})));
+  EXPECT_FALSE(rel.Contains(Ints({1, 2, 3})));
+  EXPECT_FALSE(rel.Contains(Tuple{}));
+  EXPECT_TRUE(rel.Contains(Ints({1, 2})));
 }
 
 TEST(BuilderTest, Helpers) {

@@ -17,7 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "exec/physical/tuple_table.h"
+#include "storage/tuple_table.h"
 
 namespace bryql {
 namespace {
