@@ -91,9 +91,10 @@ struct PhysicalNode {
   /// `probe_by_index`: the probed column of `relation_name`.
   size_t index_column = 0;
   Value index_value;
-  /// kProbeJoin: true probes the index on `index_column` (the build child
-  /// is π_index_column(relation)); false probes Relation::Contains (the
-  /// build child is the relation itself, every column keyed once).
+  /// kProbeJoin: true probes the index on `index_column` (the logical
+  /// build was π_index_column(relation)); false probes Relation::Contains
+  /// (the build was the relation itself, every column keyed once). The
+  /// node's one child is the probe side.
   bool probe_by_index = false;
 
   /// kFilter predicate; kIndexScan residual; kHashJoin residual (kInner,

@@ -216,21 +216,6 @@ class ResourceGovernor {
     return Tick();
   }
 
-  /// Counts `n` intermediate insertions in one step — the probe join's
-  /// charge for the hash build it skips. Like AdmitScanBulk, the final
-  /// `materialized()` total is exactly that of n AdmitMaterialize calls,
-  /// so probe-join and hash-join plans reach the same budget verdicts.
-  bool AdmitMaterializeBulk(size_t n) {
-    if (n == 0) return !tripped();
-    materialized_ += n;
-    if (materialized_ > max_materialized_) {
-      TripBudget("materialized", materialized_ - n, max_materialized_);
-      return false;
-    }
-    ticks_ += n;
-    return SlowCheck();
-  }
-
   /// A unit of work that consumes no tuple budget (e.g. one iteration of
   /// a join or product inner loop). Every kCheckInterval admissions/ticks
   /// it polls deadline and cancellation (and, on a worker shard, flushes

@@ -222,6 +222,15 @@ Result<PreparedQueryPtr> QueryProcessor::PrepareInternal(
     }
   }
   *cache_hit = false;
+  BRYQL_ASSIGN_OR_RETURN(PreparedQueryPtr prepared,
+                         PrepareFromText(text, strategy, options, governor));
+  if (use_cache) cache_.Put(key, prepared);
+  return prepared;
+}
+
+Result<PreparedQueryPtr> QueryProcessor::PrepareFromText(
+    const std::string& text, Strategy strategy, const QueryOptions& options,
+    ResourceGovernor* governor) const {
   CountPhase(&PrepareCounters::parses);
   BRYQL_ASSIGN_OR_RETURN(Query query,
                          ParseQuery(text, ParseLimitsFor(options)));
@@ -240,9 +249,7 @@ Result<PreparedQueryPtr> QueryProcessor::PrepareInternal(
     BRYQL_ASSIGN_OR_RETURN(prepared->physical, executor.Lower(exec.plan));
   }
   prepared->db_version = db_->version();
-  PreparedQueryPtr shared = std::move(prepared);
-  if (use_cache) cache_.Put(key, shared);
-  return shared;
+  return PreparedQueryPtr(std::move(prepared));
 }
 
 Result<Execution> QueryProcessor::ExecuteInternal(
@@ -260,14 +267,8 @@ Result<Execution> QueryProcessor::ExecuteInternal(
     return exec;
   }
   Executor executor(db_, exec_options_, governor);
-  // The prepared physical plan is the fast path; re-lower from the
-  // logical plan when the catalog moved since preparation.
-  PhysicalPlanPtr physical = prepared.physical;
-  if (physical == nullptr || prepared.db_version != db_->version()) {
-    BRYQL_ASSIGN_OR_RETURN(physical, executor.Lower(prepared.plan));
-  }
-  BRYQL_RETURN_NOT_OK(
-      AnswerByPlan(&executor, prepared.query.closed(), physical, &exec));
+  BRYQL_RETURN_NOT_OK(AnswerByPlan(&executor, prepared.query.closed(),
+                                   prepared.physical, &exec));
   return exec;
 }
 
@@ -321,7 +322,15 @@ Result<Execution> QueryProcessor::Execute(const PreparedQueryPtr& prepared,
     return Status::InvalidArgument("Execute on a null PreparedQuery");
   }
   ResourceGovernor governor(options);
-  return ExecuteInternal(*prepared, &governor);
+  if (prepared->db_version == db_->version()) {
+    return ExecuteInternal(*prepared, &governor);
+  }
+  // The catalog moved under the handle: re-prepare from the text, as Run
+  // does for a stale cache entry, and leave the cache as it is.
+  BRYQL_ASSIGN_OR_RETURN(
+      PreparedQueryPtr current,
+      PrepareFromText(prepared->text, prepared->strategy, options, &governor));
+  return ExecuteInternal(*current, &governor);
 }
 
 Result<Execution> QueryProcessor::Explain(const std::string& text,

@@ -85,9 +85,9 @@ struct PreparedQuery {
   ExprPtr plan;              // null for kNestedLoop
   PhysicalPlanPtr physical;  // null for kNestedLoop
   size_t rewrite_steps = 0;
-  /// Catalog version the physical plan was lowered against. Execute
-  /// re-lowers (without re-parsing or re-translating) when the catalog
-  /// has moved — access paths may have changed.
+  /// Catalog version the plans were prepared against. Execute
+  /// re-prepares from `text` when the catalog has moved: arities and
+  /// access paths may have changed.
   uint64_t db_version = 0;
 };
 
@@ -179,8 +179,10 @@ class QueryProcessor {
                                    Strategy strategy = Strategy::kBry,
                                    const QueryOptions& options = {}) const;
 
-  /// Executes a prepared query. No parse/rewrite/translate work happens
-  /// here; the lowering is reused too unless the catalog version moved.
+  /// Executes a prepared query. No parse/rewrite/translate/lower work
+  /// happens here unless the catalog version moved since preparation;
+  /// then the handle's text is prepared again, exactly as Run would, and
+  /// the plan cache is left untouched.
   Result<Execution> Execute(const PreparedQueryPtr& prepared,
                             const QueryOptions& options = {}) const;
 
@@ -216,6 +218,12 @@ class QueryProcessor {
                                            const QueryOptions& options,
                                            ResourceGovernor* governor,
                                            bool* cache_hit) const;
+  /// Parse → normalize → translate → lower, stamped with the current
+  /// catalog version. No cache.
+  Result<PreparedQueryPtr> PrepareFromText(const std::string& text,
+                                           Strategy strategy,
+                                           const QueryOptions& options,
+                                           ResourceGovernor* governor) const;
   Result<Execution> ExecuteInternal(const PreparedQuery& prepared,
                                     ResourceGovernor* governor) const;
   std::string CacheKey(const std::string& text, Strategy strategy,

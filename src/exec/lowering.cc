@@ -137,8 +137,14 @@ class Lowerer {
                             ? JoinVariant::kAnti
                             : JoinVariant::kSemi;
         node->keys = expr->keys();
-        BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
         BRYQL_RETURN_NOT_OK(ChooseProbeJoin(expr, node.get()));
+        if (node->kind == PhysicalKind::kProbeJoin) {
+          // The stored build side is probed, never lowered.
+          BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr probe, Lower(expr->left()));
+          node->children.push_back(std::move(probe));
+        } else {
+          BRYQL_RETURN_NOT_OK(LowerChildren(expr, node.get()));
+        }
         break;
       }
       case ExprKind::kOuterJoin: {
@@ -224,9 +230,8 @@ class Lowerer {
   /// probes R in place instead of hashing it: R.Contains when the keys
   /// name every column of R exactly once, R's index on c when the build
   /// is π_c(R). Either does a subset of the hash join's work, so no cost
-  /// contest is needed. The lowered build child stays in the plan: it is
-  /// what the operator charges to the governor, and what it builds after
-  /// all if the index is gone at run time.
+  /// contest is needed. Decided on the logical build, which is then not
+  /// lowered: the node's one child is the probe side.
   Status ChooseProbeJoin(const ExprPtr& expr, PhysicalNode* node) {
     const ExprPtr& build = expr->right();
     const std::vector<JoinKey>& keys = expr->keys();
@@ -334,11 +339,9 @@ void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
     }
     case PhysicalKind::kProbeJoin:
       // Probe side streams per worker; the stored relation is probed
-      // read-only, and the build child runs only as the stale-index
-      // fallback.
+      // read-only.
       node->parallel_role = ParallelRole::kPipeline;
       AnnotateParallel(node->children[0].get(), true);
-      AnnotateParallel(node->children[1].get(), false);
       break;
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:

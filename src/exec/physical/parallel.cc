@@ -5,7 +5,6 @@
 
 #include "common/failpoints.h"
 #include "common/thread_pool.h"
-#include "exec/physical/probe_join.h"
 #include "exec/physical/runtime.h"
 
 namespace bryql {
@@ -151,20 +150,15 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
     case PhysicalKind::kIndexScan: {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              db_->Get(node->relation_name));
-      // Mirror Build's stale-index fallback: without the index the worker
-      // trees scan the whole table, so the morsels cover all rows.
-      const size_t size =
-          rel->HasIndex(node->index_column)
-              ? rel->Matches(node->index_column, node->index_value).size()
-              : rel->size();
-      shared_.morsels.emplace(node.get(),
-                              std::make_unique<MorselSource>(size));
+      shared_.morsels.emplace(
+          node.get(),
+          std::make_unique<MorselSource>(
+              rel->Matches(node->index_column, node->index_value).size()));
       return Status::Ok();
     }
     case PhysicalKind::kColumnarScan: {
       // Morsels are segment-aligned (kMorselSize == kSegmentRows) and
-      // sized over the row count, which also covers the stale-store
-      // row-path fallback in Build.
+      // sized over the row count.
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              db_->Get(node->relation_name));
       shared_.morsels.emplace(
@@ -200,19 +194,9 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
       return PrepareSpine(node->build_left ? node->children[1]
                                            : node->children[0]);
     }
-    case PhysicalKind::kProbeJoin: {
-      // Where BuildJoinShared would drain the build, the coordinator
-      // charges it once; workers probe the const relation.
-      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             db_->Get(node->relation_name));
-      if (ProbesInPlace(*node, *rel)) {
-        BRYQL_RETURN_NOT_OK(
-            ApplyCharge(SkippedBuildCharge(*node, *rel), governor_, stats_));
-      } else {
-        BRYQL_RETURN_NOT_OK(BuildJoinShared(node));  // stale plan
-      }
+    case PhysicalKind::kProbeJoin:
+      // No build: workers probe the const relation.
       return PrepareSpine(node->children[0]);
-    }
     case PhysicalKind::kDivision:
     case PhysicalKind::kGroupDivision:
     case PhysicalKind::kGroupCount: {

@@ -4,34 +4,9 @@
 
 namespace bryql {
 
-bool ProbesInPlace(const PhysicalNode& node, const Relation& rel) {
-  return !node.probe_by_index || rel.HasIndex(node.index_column);
-}
-
-BuildCharge SkippedBuildCharge(const PhysicalNode& node,
-                               const Relation& rel) {
-  // Contains: every row is a distinct key. Index: π_c(rel) dedups to the
-  // index's keys, and each is fresh again in the key set.
-  return {rel.size(), node.probe_by_index
-                          ? 2 * rel.IndexKeyCount(node.index_column)
-                          : rel.size()};
-}
-
-Status ApplyCharge(const BuildCharge& charge, ResourceGovernor* governor,
-                   ExecStats* stats) {
-  if (!governor->AdmitScanBulk(charge.scanned)) return governor->status();
-  stats->tuples_scanned += charge.scanned;
-  if (!governor->AdmitMaterializeBulk(charge.materialized)) {
-    return governor->status();
-  }
-  stats->tuples_materialized += charge.materialized;
-  return Status::Ok();
-}
-
 ProbeJoinOp::ProbeJoinOp(PhysicalOpPtr probe, const Relation* rel,
-                         const PhysicalNode& node, BuildCharge charge,
-                         PhysicalContext ctx)
-    : probe_(std::move(probe)), rel_(rel), charge_(charge), ctx_(ctx),
+                         const PhysicalNode& node, PhysicalContext ctx)
+    : probe_(std::move(probe)), rel_(rel), ctx_(ctx),
       anti_(node.variant == JoinVariant::kAnti),
       by_index_(node.probe_by_index), num_keys_(node.keys.size()),
       cursor_(probe_.get()) {
@@ -48,11 +23,7 @@ ProbeJoinOp::ProbeJoinOp(PhysicalOpPtr probe, const Relation* rel,
   }
 }
 
-Status ProbeJoinOp::Open() {
-  // Probe side first, then the (skipped) build — the hash join's order.
-  BRYQL_RETURN_NOT_OK(probe_->Open());
-  return ApplyCharge(charge_, ctx_.governor, ctx_.stats);
-}
+Status ProbeJoinOp::Open() { return probe_->Open(); }
 
 bool ProbeJoinOp::HasPartner(const Tuple& t) {
   if (by_index_) {

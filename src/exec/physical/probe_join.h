@@ -9,41 +9,20 @@
 
 namespace bryql {
 
-/// True when `rel` can answer `node`'s (a kProbeJoin) probes in place.
-/// Relation::Matches is empty for an unindexed column, so a plan whose
-/// index has since gone (a stale plan, or a relation replaced by Put)
-/// must run the hash join over its build child instead.
-bool ProbesInPlace(const PhysicalNode& node, const Relation& rel);
-
-/// What the hash join would have admitted building `node`'s build side
-/// over `rel`: |rel| scanned, and |rel| (contains) or twice the distinct
-/// values of the indexed column (index: the projection's dedup set, then
-/// the key set) materialized.
-struct BuildCharge {
-  size_t scanned = 0;
-  size_t materialized = 0;
-};
-BuildCharge SkippedBuildCharge(const PhysicalNode& node, const Relation& rel);
-
-/// Admits `charge` through `governor` (scans first, as the hash build
-/// does) and adds it to `stats`.
-Status ApplyCharge(const BuildCharge& charge, ResourceGovernor* governor,
-                   ExecStats* stats);
-
 /// The paper's semi-join and complement-join (Definition 6) against a
 /// stored relation, probed in place: Relation::Contains on the key tuple,
-/// or a non-empty Relation::Matches on the indexed column. The build side
-/// is never drained; Open applies `charge`, what the hash build would
-/// have admitted, so counters and budget verdicts match the hash plan.
-/// Probes count as hash probes, and capacity-1 pulls stay first-witness.
+/// or a non-empty Relation::Matches on the indexed column. It charges
+/// what it reads: its probe child's scans, and one hash probe per probe
+/// row. The stored relation is never scanned, so nothing is charged for
+/// it. Capacity-1 pulls stay first-witness. In parallel runs every worker
+/// probes the const relation.
 ///
-/// In parallel runs the coordinator charges once and every worker gets a
-/// zero charge, probing the const relation only.
+/// `rel` must be the relation `node` was lowered for (PlanRuntime
+/// refuses a plan whose relation lost its index or changed arity).
 class ProbeJoinOp : public PhysicalOperator {
  public:
   ProbeJoinOp(PhysicalOpPtr probe, const Relation* rel,
-              const PhysicalNode& node, BuildCharge charge,
-              PhysicalContext ctx);
+              const PhysicalNode& node, PhysicalContext ctx);
   Status Open() override;
   Status NextBatch(TupleBatch* out) override;
   void Close() override { probe_->Close(); }
@@ -53,7 +32,6 @@ class ProbeJoinOp : public PhysicalOperator {
 
   PhysicalOpPtr probe_;
   const Relation* rel_;
-  BuildCharge charge_;
   PhysicalContext ctx_;
   bool anti_;
   bool by_index_;

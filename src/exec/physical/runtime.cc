@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "algebra/predicate.h"
 #include "common/failpoints.h"
 #include "exec/physical/columnar_scan.h"
 #include "exec/physical/division.h"
@@ -113,6 +112,37 @@ class TimedOp : public PhysicalOperator {
   ResourceGovernor* governor_;
 };
 
+/// The stored relation `node` (a scan or probe join) reads, refused
+/// unless it is still what the plan was lowered for: its arity (the key
+/// count of a contains probe), and the index or column store it reads
+/// through. Every stored relation enters a plan at such a node, so a plan
+/// runs only on the catalog it was lowered for. QueryProcessor
+/// re-prepares stale plans from their text, so only a physical plan run
+/// by hand gets here; running on would answer wrongly (Matches is empty
+/// for an unindexed column) or read past the end of a row.
+Result<const Relation*> LoweredRelation(const Database& db,
+                                        const PhysicalNode& node) {
+  BRYQL_ASSIGN_OR_RETURN(const Relation* rel, db.Get(node.relation_name));
+  const bool by_index =
+      node.kind == PhysicalKind::kIndexScan || node.probe_by_index;
+  const size_t arity =
+      node.kind == PhysicalKind::kProbeJoin ? node.keys.size() : node.arity;
+  std::string lost;
+  if (!node.probe_by_index && rel->arity() != arity) {
+    lost = "arity " + std::to_string(arity);
+  } else if (by_index && !rel->HasIndex(node.index_column)) {
+    lost = "an index on column " + std::to_string(node.index_column);
+  } else if (node.kind == PhysicalKind::kColumnarScan &&
+             rel->column_store() == nullptr) {
+    lost = "a column store";
+  } else {
+    return rel;
+  }
+  return Status::InvalidArgument("stale plan: relation '" +
+                                 node.relation_name + "' no longer has " +
+                                 lost + ", which the plan was lowered for");
+}
+
 }  // namespace
 
 Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
@@ -152,7 +182,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     case PhysicalKind::kTableScan: {
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             ctx_.db->Get(node->relation_name));
+                             LoweredRelation(*ctx_.db, *node));
       op = PhysicalOpPtr(new TableScanOp(rel, ctx_, morsels));
       break;
     }
@@ -163,22 +193,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     }
     case PhysicalKind::kIndexScan: {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             ctx_.db->Get(node->relation_name));
-      if (!rel->HasIndex(node->index_column)) {
-        // The index the plan was lowered against no longer exists (the
-        // plan is stale, e.g. cached across a catalog change). Recover by
-        // re-applying the full selection over a table scan.
-        std::vector<PredicatePtr> parts;
-        parts.push_back(Predicate::ColVal(CompareOp::kEq, node->index_column,
-                                          node->index_value));
-        if (node->predicate != nullptr) parts.push_back(node->predicate);
-        PredicatePtr full = parts.size() == 1 ? std::move(parts[0])
-                                              : Predicate::And(std::move(parts));
-        PhysicalOpPtr scan(new TableScanOp(rel, ctx_, morsels));
-        op = PhysicalOpPtr(
-            new FilterOp(std::move(scan), std::move(full), ctx_));
-        break;
-      }
+                             LoweredRelation(*ctx_.db, *node));
       ++ctx_.stats->hash_probes;
       op = PhysicalOpPtr(new IndexScanOp(
           rel, rel->Matches(node->index_column, node->index_value),
@@ -188,18 +203,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     case PhysicalKind::kColumnarScan: {
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             ctx_.db->Get(node->relation_name));
-      if (rel->column_store() == nullptr) {
-        // The column store the plan was lowered against no longer exists
-        // (stale cached plan, or the relation was replaced). Recover on
-        // the row path: full scan plus the pushed-down predicate.
-        PhysicalOpPtr scan(new TableScanOp(rel, ctx_, morsels));
-        op = node->predicate == nullptr
-                 ? std::move(scan)
-                 : PhysicalOpPtr(
-                       new FilterOp(std::move(scan), node->predicate, ctx_));
-        break;
-      }
+                             LoweredRelation(*ctx_.db, *node));
       op = PhysicalOpPtr(new ColumnarScanOp(rel->column_store(),
                                             node->predicate, ctx_, morsels));
       break;
@@ -242,23 +246,11 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
     }
     case PhysicalKind::kProbeJoin: {
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             ctx_.db->Get(node->relation_name));
-      if (ProbesInPlace(*node, *rel)) {
-        BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr probe,
-                               Build(node->children[0], depth + 1));
-        // The build child is never instantiated; count its operators as
-        // the hash join would. Parallel workers probe only: their
-        // coordinator charged the build once (ParallelRuntime).
-        ctx_.stats->operators += node->children[1]->Size();
-        const BuildCharge charge = ctx_.shared == nullptr
-                                       ? SkippedBuildCharge(*node, *rel)
-                                       : BuildCharge{};
-        op = PhysicalOpPtr(
-            new ProbeJoinOp(std::move(probe), rel, *node, charge, ctx_));
-        break;
-      }
-      // The index is gone (a stale plan): hash-join the build child.
-      [[fallthrough]];
+                             LoweredRelation(*ctx_.db, *node));
+      BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr probe,
+                             Build(node->children[0], depth + 1));
+      op = PhysicalOpPtr(new ProbeJoinOp(std::move(probe), rel, *node, ctx_));
+      break;
     }
     case PhysicalKind::kHashJoin: {
       // Parallel workers: a pre-built SharedJoinBuild replaces the build

@@ -174,11 +174,6 @@ std::span<const uint32_t> Relation::Matches(size_t column,
   return {index.positions.data() + list.begin, list.count};
 }
 
-size_t Relation::IndexKeyCount(size_t column) const {
-  auto it = column_indexes_.find(column);
-  return it == column_indexes_.end() ? 0 : it->second.lists.size();
-}
-
 std::vector<Tuple> Relation::SortedRows() const {
   std::vector<Tuple> sorted(rows_.rows().begin(), rows_.rows().end());
   std::sort(sorted.begin(), sorted.end());

@@ -113,8 +113,6 @@ class Relation {
   /// behaviour. The span is valid until the next Insert into this
   /// relation.
   std::span<const uint32_t> Matches(size_t column, const Value& value) const;
-  /// Distinct values in the index on `column` (0 without an index).
-  size_t IndexKeyCount(size_t column) const;
 
   /// --- columnar representation ------------------------------------
   /// An optional column-major mirror of rows(), built on demand and then

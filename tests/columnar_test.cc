@@ -1,8 +1,8 @@
 // Unit and integration coverage for the columnar layer: ColumnStore
 // layout (segments, dictionary, zone maps), the vectorized
 // PredicateKernel against Predicate::Eval as oracle, zone-map pruning
-// through the executor, the lowering's access-path choice, the stale-plan
-// row fallback, budget/witness parity with the row engine, and the
+// through the executor, the lowering's access-path choice, the refusal of
+// a stale plan, budget/witness parity with the row engine, and the
 // store's maintenance under Insert and Relation copies.
 
 #include <gtest/gtest.h>
@@ -408,7 +408,7 @@ TEST_F(ColumnarExecTest, IndexedEqualityStillBeatsColumnar) {
       << (*plan)->ToString();
 }
 
-TEST_F(ColumnarExecTest, StalePlanFallsBackToRowScan) {
+TEST_F(ColumnarExecTest, StalePlanIsRefused) {
   Executor ex(&db_);
   ExprPtr expr = Expr::Select(
       Expr::Scan("events"),
@@ -416,15 +416,29 @@ TEST_F(ColumnarExecTest, StalePlanFallsBackToRowScan) {
   auto plan = ex.Lower(expr);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_NE((*plan)->ToString().find("ColumnarScan"), std::string::npos);
-  // Replace the relation with one that has no column store: the cached
-  // plan is stale, and must recover on the row path with the same answer.
+  // Replace the relation with one that has no column store: the plan is
+  // stale, and is refused rather than run on another access path.
   db_.Put("events", MakeEvents(8 * kSegmentRows));
-  Executor stale_ex(&db_);
-  auto result = stale_ex.ExecutePhysical(*plan);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->size(), 8 * kSegmentRows - 8100);
-  EXPECT_EQ(stale_ex.stats().segments_scanned, 0u);
-  EXPECT_EQ(stale_ex.stats().segments_pruned, 0u);
+  for (size_t threads : {0u, 2u}) {
+    QueryOptions options;
+    options.num_threads = threads;
+    ResourceGovernor governor(options);
+    Executor stale_ex(&db_, ExecOptions{}, &governor);
+    auto result = stale_ex.ExecutePhysical(*plan);
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+    EXPECT_NE(result.status().message().find("'events'"), std::string::npos)
+        << result.status();
+
+    // A fresh run prepares against the new catalog and answers.
+    QueryProcessor qp(&db_);
+    auto fresh = qp.Run("{ i, c, s | events(i, c, s) & i >= 8100 }",
+                        Strategy::kBry, options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(fresh->answer.relation.size(), 8 * kSegmentRows - 8100);
+    EXPECT_EQ(fresh->stats.segments_scanned, 0u);
+  }
 }
 
 TEST_F(ColumnarExecTest, RowAndColumnarAgreeOnCountersAndAnswers) {

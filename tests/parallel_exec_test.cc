@@ -300,9 +300,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDifferentialTest,
                          ::testing::Values(1u, 2u, 7u));
 
 // ---------------------------------------------------------------------
-// Probe joins in parallel: the coordinator charges the skipped build once
-// and workers probe the stored relation concurrently (see
-// probe_join_test for the serial runs and the lowering shapes).
+// Probe joins in parallel: workers probe the stored relation concurrently
+// (see probe_join_test for the serial runs and the lowering shapes).
 
 TEST(ParallelProbeJoinTest, MatchesOracleAndHashTwinAtEveryDegree) {
   for (size_t threads : {2u, 8u}) {
@@ -310,8 +309,8 @@ TEST(ParallelProbeJoinTest, MatchesOracleAndHashTwinAtEveryDegree) {
   }
 }
 
-TEST(ParallelProbeJoinTest, IndexLessReplacementFallsBackToTheHashJoin) {
-  probe_join_cases::ExpectStaleIndexFallsBack(/*threads=*/2);
+TEST(ParallelProbeJoinTest, IndexLessReplacementIsRefused) {
+  probe_join_cases::ExpectStaleIndexRefused(/*threads=*/2);
 }
 
 // ---------------------------------------------------------------------

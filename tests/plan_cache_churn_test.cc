@@ -153,5 +153,66 @@ TEST(PlanCacheChurnTest, StalePreparedHandlesRevalidateAgainstTheCatalog) {
   }
 }
 
+/// A handle whose catalog moved is prepared again from its text, like a
+/// stale cache entry: after q changes arity, Execute refuses the query
+/// exactly as Run does instead of answering from the old column layout.
+/// The re-preparation is counted and leaves the cache alone.
+TEST(PlanCacheChurnTest, StaleHandleIsPreparedAgainFromItsText) {
+  Relation p(1), q(2);
+  for (int64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(p.Insert(Tuple({Value::Int(i)})).ok());
+    ASSERT_TRUE(q.Insert(Tuple({Value::Int(i), Value::Int(i + 1)})).ok());
+  }
+  Database db;
+  db.Put("p", p);
+  db.Put("q", q);
+  QueryProcessor qp(&db);
+  const std::string text = "{ x | p(x) & (exists y: q(x, y)) }";
+  auto prepared = qp.Prepare(text);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto before = qp.Execute(*prepared);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->answer.relation.size(), 5u);
+
+  for (size_t arity : {3u, 1u}) {
+    SCOPED_TRACE(arity);
+    Relation other(arity);
+    for (int64_t i = 0; i < 5; ++i) {
+      std::vector<Value> row(arity, Value::Int(i));
+      ASSERT_TRUE(other.Insert(Tuple(std::move(row))).ok());
+    }
+    db.Put("q", std::move(other));
+    const PlanCacheStats cache_before = qp.cache_stats();
+    const size_t cached = qp.cache_size();
+    const PrepareCounters counters_before = qp.prepare_counters();
+    auto via_handle = qp.Execute(*prepared);
+    EXPECT_EQ(qp.prepare_counters().parses, counters_before.parses + 1);
+    EXPECT_EQ(qp.prepare_counters().lowerings, counters_before.lowerings);
+    EXPECT_EQ(qp.cache_stats().hits, cache_before.hits);
+    EXPECT_EQ(qp.cache_stats().misses, cache_before.misses);
+    EXPECT_EQ(qp.cache_size(), cached);
+    auto run = qp.Run(text);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_FALSE(via_handle.ok())
+        << via_handle->answer.relation.size() << " tuples";
+    EXPECT_EQ(via_handle.status().ToString(), run.status().ToString());
+  }
+
+  // Back at arity 2, the handle answers from the current rows, and the
+  // re-lowering shows in the counters.
+  Relation grown = q;
+  ASSERT_TRUE(grown.Insert(Tuple({Value::Int(9), Value::Int(9)})).ok());
+  ASSERT_TRUE(p.Insert(Tuple({Value::Int(9)})).ok());
+  db.Put("p", p);
+  db.Put("q", std::move(grown));
+  const PrepareCounters counters_before = qp.prepare_counters();
+  auto after = qp.Execute(*prepared);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->answer.relation.size(), 6u);
+  EXPECT_EQ(qp.prepare_counters().parses, counters_before.parses + 1);
+  EXPECT_EQ(qp.prepare_counters().lowerings, counters_before.lowerings + 1);
+}
+
 }  // namespace
 }  // namespace bryql

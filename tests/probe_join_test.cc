@@ -2,8 +2,8 @@
 // relation probes that relation in place (Relation::Contains or a column
 // index) instead of hashing it. Lowering shapes, the serial differential
 // against the nested-loop oracle and the hash-joined literal twin, and
-// the stale-index fallback. The threaded runs of the same differential
-// live in parallel_exec_test.
+// the refusal of a stale index plan. The threaded runs of the same
+// differential live in parallel_exec_test.
 
 #include <gtest/gtest.h>
 
@@ -48,10 +48,9 @@ TEST(ProbeJoinLoweringTest, KeysCoveringEveryColumnProbeContains) {
   EXPECT_FALSE(plan->probe_by_index);
   EXPECT_EQ(plan->relation_name, "r");
   EXPECT_EQ(plan->Label(), "ProbeJoin(anti, r, contains, keys=[0=1, 1=0])");
-  // The build child stays in the plan, off the parallel spine.
-  ASSERT_EQ(plan->children.size(), 2u);
-  EXPECT_EQ(plan->children[1]->kind, PhysicalKind::kTableScan);
-  EXPECT_EQ(plan->children[1]->parallel_role, ParallelRole::kSerial);
+  // The build is never lowered: the one child is the probe side.
+  ASSERT_EQ(plan->children.size(), 1u);
+  EXPECT_EQ(plan->children[0]->Label(), "TableScan p");
   EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kPartition);
 }
 
@@ -117,10 +116,9 @@ TEST(ProbeJoinLoweringTest, OtherBuildsKeepTheirHashJoin) {
   }
 }
 
-/// The probe join scans only the probe side, yet reports the hash build's
-/// admissions: |r| scanned, and 2 · (distinct values of r's column 1)
-/// materialized for an index probe.
-TEST(ProbeJoinTest, ChargesWhatTheHashBuildWouldHave) {
+/// The probe join charges what it reads: the 20 rows of p scanned, one
+/// probe each, and the 20 answers materialized. r is never scanned.
+TEST(ProbeJoinTest, ChargesOnlyWhatItReads) {
   Database db = TwoTables();
   ExprPtr expr = Expr::SemiJoin(Expr::Scan("p"),
                                 Expr::Project(Expr::Scan("r"), {1}), {{1, 0}});
@@ -128,10 +126,10 @@ TEST(ProbeJoinTest, ChargesWhatTheHashBuildWouldHave) {
   Result<Relation> rel = executor.Evaluate(expr);
   ASSERT_TRUE(rel.ok()) << rel.status();
   EXPECT_EQ(rel->size(), 20u);
-  EXPECT_EQ(executor.stats().tuples_scanned, 20u + 30u);
-  EXPECT_EQ(executor.stats().tuples_materialized, 20u + 2u * 7u);
+  EXPECT_EQ(executor.stats().tuples_scanned, 20u);
+  EXPECT_EQ(executor.stats().tuples_materialized, 20u);
   EXPECT_EQ(executor.stats().hash_probes, 20u);
-  EXPECT_EQ(executor.stats().operators, 4u);  // probe join, scan p, π, scan r
+  EXPECT_EQ(executor.stats().operators, 2u);  // probe join, scan p
 }
 
 /// An arity-0 relation is keyed by the empty key: {()} passes every probe
@@ -160,6 +158,40 @@ TEST(ProbeJoinTest, NullaryRelationGatesEveryProbe) {
   }
 }
 
+/// A plan run after one of its relations changed arity is refused, not
+/// run: the contains probe would find no partner for a key of the old
+/// width, and the probe side's scan would hand its parent rows too short
+/// for the keys.
+TEST(ProbeJoinTest, PlanOverARelationOfAnotherArityIsRefused) {
+  for (const char* replaced : {"r", "p"}) {
+    Database db = TwoTables();
+    auto plan = Lower(db, Expr::SemiJoin(Expr::Scan("p"), Expr::Scan("r"),
+                                         {{0, 0}, {1, 1}}));
+    ASSERT_NE(plan, nullptr);
+    ASSERT_EQ(plan->kind, PhysicalKind::kProbeJoin);
+    Relation other(std::string(replaced) == "r" ? 3 : 1);
+    for (int64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(other.Insert(Tuple(std::vector<Value>(other.arity(),
+                                                        Value::Int(i))))
+                      .ok());
+    }
+    db.Put(replaced, std::move(other));
+    for (size_t threads : {0u, 2u}) {
+      QueryOptions options;
+      options.num_threads = threads;
+      ResourceGovernor governor(options);
+      Executor executor(&db, ExecOptions{}, &governor);
+      Result<Relation> rel = executor.ExecutePhysical(plan);
+      ASSERT_FALSE(rel.ok()) << replaced << " threads=" << threads;
+      EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(rel.status().message().find(std::string("relation '") +
+                                            replaced + "' no longer has arity"),
+                std::string::npos)
+          << rel.status();
+    }
+  }
+}
+
 class ProbeJoinDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ProbeJoinDifferentialTest, SerialMatchesOracleAndHashTwin) {
@@ -169,8 +201,8 @@ TEST_P(ProbeJoinDifferentialTest, SerialMatchesOracleAndHashTwin) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProbeJoinDifferentialTest,
                          ::testing::Values(1u, 2u));
 
-TEST(ProbeJoinTest, IndexLessReplacementFallsBackToTheHashJoin) {
-  probe_join_cases::ExpectStaleIndexFallsBack(/*threads=*/0);
+TEST(ProbeJoinTest, IndexLessReplacementIsRefused) {
+  probe_join_cases::ExpectStaleIndexRefused(/*threads=*/0);
 }
 
 }  // namespace
