@@ -9,7 +9,7 @@
 //
 // The storage block prices the rest of a commit at 2000 and 8000
 // students: copying `student`, `enrolled` and `attends` (all indexes and
-// column stores), inserting a 160-row batch into the copies, and
+// zone maps), inserting a 160-row batch into the copies, and
 // installing them with Database::Put, which frees the replaced relations.
 // Reported: CPU time per step, stored tuples, RSS growth per stored tuple
 // while copies are held, and minor page faults per copy and per Put
@@ -66,7 +66,7 @@ constexpr size_t kNumConstraints =
 const char* kUniversal =
     "{ x | student(x) & (forall y: lecture(y, db) -> attends(x, y)) }";
 
-/// The E9 database with every column indexed and column stores built, as
+/// The E9 database with every column indexed and zone maps built, as
 /// a stored database serving constraint checks would be.
 Database MakeDb(size_t students) {
   UniversityConfig config;

@@ -1,14 +1,21 @@
-// Experiment E16: row scan vs columnar scan. One wide events relation
+// Experiment E16: row scan vs zone-pruned scan. One wide events relation
 // with ascending ids, selective predicates lowered once and executed
-// many times. The headline: zone maps prune whole 1024-row segments on
-// the selective id range, so the columnar path wins by avoiding work the
-// row path must do per tuple; the dictionary path wins on string
-// equality by comparing each distinct string once per segment.
+// many times. The row path is TableScan + Filter over a database without
+// zone maps; the zone path is a ColumnarScan over the same rows with
+// zone maps built. Zone maps prune whole 1024-row segments on the
+// selective id range; on segments they cannot decide, the zone scan
+// evaluates the predicate in place on each stored row and copies only the
+// matches, where the row path copies every row and then filters.
+//
+// Before timing, each zone case checks that its answer equals the row
+// path's and aborts on a mismatch, so one short pass is a smoke test:
+//
+//   ./build/bench/bench_scan --benchmark_min_time=0.01
 
-#include <memory>
+#include <cstdlib>
+#include <iostream>
 
 #include "bench/bench_util.h"
-#include "storage/columnar/column_store.h"
 
 namespace bryql {
 namespace {
@@ -18,8 +25,8 @@ const char* const kCategories[] = {"alpha", "beta", "gamma", "delta",
 
 /// events(id, category, score): ids ascend (zone maps carve the id axis
 /// into disjoint per-segment intervals), categories cycle through eight
-/// strings, scores cycle through [0, 50).
-Database MakeEvents(size_t rows, bool columnar) {
+/// strings, scores cycle through [0, 50). No zone maps.
+Database MakeEvents(size_t rows) {
   Relation rel(3);
   for (size_t i = 0; i < rows; ++i) {
     rel.Insert(Tuple({Value::Int(static_cast<int64_t>(i)),
@@ -28,7 +35,6 @@ Database MakeEvents(size_t rows, bool columnar) {
   }
   Database db;
   db.Put("events", std::move(rel));
-  if (columnar) db.EnableColumnarAll();
   return db;
 }
 
@@ -45,8 +51,8 @@ const Case kCases[] = {
        return Predicate::ColVal(CompareOp::kLt, 0,
                                 Value::Int(static_cast<int64_t>(rows / 100)));
      }},
-    // 1-in-8 rows pass, spread across every segment: no pruning, the
-    // dictionary turns 1024 string comparisons into 8 per segment.
+    // 1-in-8 rows pass, spread across every segment: no pruning, so the
+    // zone path's gain is copying only the matching rows.
     {"category-equality",
      [](size_t) {
        return Predicate::ColVal(CompareOp::kEq, 1, Value::String("gamma"));
@@ -61,14 +67,34 @@ const Case kCases[] = {
      }},
 };
 
-void RunScan(benchmark::State& state, bool columnar) {
+/// Aborts unless `zone_db` lowers `plan` to a ColumnarScan whose answer
+/// equals the row path's on `row_db`, the same rows without zone maps.
+void CheckZoneScanAgrees(const Database& row_db, const Database& zone_db,
+                         const ExprPtr& plan) {
+  Executor row(&row_db);
+  Executor zone(&zone_db);
+  auto lowered = zone.Lower(plan);
+  auto want = row.Evaluate(plan);
+  auto got = zone.Evaluate(plan);
+  if (!lowered.ok() || (*lowered)->kind != PhysicalKind::kColumnarScan ||
+      !want.ok() || !got.ok() || *want != *got) {
+    std::cerr << "zone scan disagrees with the row path on "
+              << plan->ToString() << "\n";
+    std::abort();
+  }
+}
+
+void RunScan(benchmark::State& state, bool zones) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const Case& c = kCases[state.range(1)];
-  Database db = MakeEvents(rows, columnar);
-  ExecOptions options;
-  options.use_columnar = columnar;
-  Executor executor(&db, options);
+  Database db = MakeEvents(rows);
   ExprPtr plan = Expr::Select(Expr::Scan("events"), c.predicate(rows));
+  if (zones) {
+    const Database row_db = db;
+    db.EnableColumnarAll();
+    CheckZoneScanAgrees(row_db, db, plan);
+  }
+  Executor executor(&db);
   auto physical = executor.Lower(plan);
   if (!physical.ok()) {
     state.SkipWithError(physical.status().message().c_str());
@@ -83,8 +109,7 @@ void RunScan(benchmark::State& state, bool columnar) {
     }
     benchmark::DoNotOptimize(rel->size());
   }
-  state.SetLabel(std::string(c.name) +
-                 (columnar ? " [columnar]" : " [row]"));
+  state.SetLabel(std::string(c.name) + (zones ? " [zones]" : " [row]"));
   const ExecStats& stats = executor.stats();
   state.counters["scanned"] =
       benchmark::Counter(static_cast<double>(stats.tuples_scanned));

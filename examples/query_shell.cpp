@@ -20,9 +20,10 @@
 //                             quel-counting | classical | nested-loop
 //   .threads <n>              morsel-parallel execution with n workers
 //                             (0 = serial, the default)
-//   .columnar on|off          build column stores and let the lowering
-//                             pick zone-pruned columnar scans (off =
-//                             row path only; answers never change)
+//   .columnar on              build zone maps on every relation, now
+//                             and for relations defined later, so a
+//                             selection scans zone-pruned (answers
+//                             never change; there is no way back)
 //   .service                  toggle the fault-tolerant front door
 //                             (DESIGN.md §9): admission, retries,
 //                             degradation; pairs with BRYQL_FAILPOINTS
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
                 << "          .relations | .explain <query> | "
                    ".explain physical <query> |\n"
                 << "          .strategy <name> | .threads <n> | "
-                   ".columnar on|off | .service | .quit\n";
+                   ".columnar on | .service | .quit\n";
       continue;
     }
     if (line == ".relations") {
@@ -136,13 +137,10 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (line == ".columnar on" || line == ".columnar off") {
-      use_columnar = line == ".columnar on";
-      if (use_columnar) db.EnableColumnarAll();
-      std::cout << "columnar " << (use_columnar ? "on" : "off")
-                << (use_columnar ? " (column stores built, zone-pruned scans)"
-                                 : " (row path)")
-                << "\n";
+    if (line == ".columnar on") {
+      use_columnar = true;
+      db.EnableColumnarAll();
+      std::cout << "columnar on (zone maps built, zone-pruned scans)\n";
       continue;
     }
     if (line == ".service") {
@@ -228,17 +226,12 @@ int main(int argc, char** argv) {
       std::cout << "defined " << name << "\n";
       continue;
     }
-    // Relations loaded after `.columnar on` get their stores here;
+    // Relations loaded after `.columnar on` get their zone maps here;
     // EnableColumnarAll only builds what is missing, so this is cheap.
     if (use_columnar) db.EnableColumnarAll();
     QueryProcessor qp(&db);
     qp.SetViews(&views);
     qp.EnableDomainClosure(domain_closure);
-    if (!use_columnar) {
-      ExecOptions exec_options;
-      exec_options.use_columnar = false;
-      qp.SetExecOptions(exec_options);
-    }
     if (line.rfind(".cost ", 0) == 0) {
       auto exec = qp.Explain(line.substr(6), strategy);
       if (!exec.ok() || exec->plan == nullptr) {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification, five times:
 #   1. the plain configuration (Release, -O3 -DNDEBUG: what CI and
-#      benchmarks use; the columnar kernels' real codegen), plus one
-#      short smoke pass each of bench_integrity, of bench_end_to_end's
-#      bry cases, of bench_prepared's engine cases and of
-#      bench_complement_join, and a check that
+#      benchmarks use), plus one short smoke pass each of
+#      bench_integrity, of bench_end_to_end's bry cases, of
+#      bench_prepared's engine cases, of bench_complement_join and of
+#      bench_scan, and a check that
 #      scripts/bench_compare.py flags a moved counter in the first's report,
 #   2. a Debug configuration with -D_GLIBCXX_ASSERTIONS running the full
 #      suite — every other build defines NDEBUG, so this is the one where
@@ -63,6 +63,9 @@ fi
 # One short pass of E3; the complement-join aborts unless its answer
 # equals the conventional plan's.
 ./build/bench/bench_complement_join --benchmark_min_time=0.01 >/dev/null
+# One short pass of E16; each zone-pruned scan aborts unless its answer
+# equals the row path's on the same rows without zone maps.
+./build/bench/bench_scan --benchmark_min_time=0.01 >/dev/null
 
 echo "== [2/5] Debug + _GLIBCXX_ASSERTIONS build + tests =="
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \

@@ -9,13 +9,6 @@
 
 namespace bryql {
 
-/// Per-tuple work of a columnar scan relative to a row scan plus filter.
-/// The vectorized kernels touch packed 64-bit payloads instead of Value
-/// variants, and zone maps skip whole segments; 1/4 per tuple is the
-/// conservative planning estimate the lowering chooser uses when a column
-/// store exists (bench_scan measures the real ratio).
-inline constexpr double kColumnarScanCostFactor = 0.25;
-
 /// Estimated size and work of a plan.
 struct CostEstimate {
   /// Estimated output cardinality.

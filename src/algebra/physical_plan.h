@@ -35,7 +35,7 @@ enum class PhysicalKind {
   kTableScan,      // full scan of a named base relation
   kLiteralScan,    // scan of an inline relation
   kIndexScan,      // hash-index bucket lookup + residual filter
-  kColumnarScan,   // column-store scan, zone-pruned, predicate pushed down
+  kColumnarScan,   // zone-pruned scan of the rows, predicate pushed down
   kFilter,         // σ_pred over a stream
   kProject,        // π_cols with streaming dedup
   kProduct,        // ×, right side materialized
@@ -53,21 +53,6 @@ enum class PhysicalKind {
 
 const char* PhysicalKindName(PhysicalKind kind);
 
-/// How a node participates in morsel-driven parallel execution
-/// (ParallelRuntime, QueryOptions::num_threads > 0). Annotated by the
-/// lowering pass as static plan structure — the same plan runs serially
-/// or in parallel, so the role describes what the node *would* do at
-/// num_threads > 0, and is surfaced by the physical EXPLAIN.
-enum class ParallelRole {
-  kSerial,             // off the spine; always runs single-threaded
-  kPipeline,           // replicated per worker, streams its partition
-  kPartition,          // scan fed by a shared morsel dispenser
-  kBuildShared,        // join build side, drained once into shared state
-  kMaterializeShared,  // materialized once, rows shared by all workers
-};
-
-const char* ParallelRoleName(ParallelRole role);
-
 class PhysicalNode;
 using PhysicalPlanPtr = std::shared_ptr<const PhysicalNode>;
 
@@ -81,9 +66,9 @@ struct PhysicalNode {
   PhysicalKind kind = PhysicalKind::kTableScan;
   std::vector<PhysicalPlanPtr> children;
 
-  /// kTableScan / kIndexScan / kProbeJoin: base relation name, resolved
-  /// against the catalog at instantiation time (never a raw pointer, so
-  /// cached plans survive catalog updates).
+  /// kTableScan / kIndexScan / kColumnarScan / kProbeJoin: base relation
+  /// name, resolved against the catalog at instantiation time (never a
+  /// raw pointer, so cached plans survive catalog updates).
   std::string relation_name;
   /// kLiteralScan: the inline relation, shared with the logical plan.
   std::shared_ptr<const Relation> literal;
@@ -97,7 +82,7 @@ struct PhysicalNode {
   /// node's one child is the probe side.
   bool probe_by_index = false;
 
-  /// kFilter predicate; kIndexScan residual; kHashJoin residual (kInner,
+  /// kFilter and kColumnarScan predicate; kIndexScan residual; kHashJoin residual (kInner,
   /// over the concatenated tuple) or probe constraint (kLeftOuter/kMark,
   /// over the left tuple).
   PredicatePtr predicate;
@@ -121,10 +106,6 @@ struct PhysicalNode {
   /// Cost-model annotations (CostModel::Estimate at lowering time).
   double est_rows = 0;
   double est_cost = 0;
-
-  /// Parallel-execution role (lowering's exchange/merge placement); see
-  /// ParallelRole. kSerial nodes print no annotation.
-  ParallelRole parallel_role = ParallelRole::kSerial;
 
   /// One-line operator description, e.g.
   /// "HashJoin(anti, build=right, keys=[0=0])".

@@ -74,32 +74,33 @@ PredicatePtr Predicate::Not(PredicatePtr child) {
   return p;
 }
 
-bool Predicate::Eval(const Tuple& tuple, size_t* comparisons) const {
+bool Predicate::Eval(std::span<const Value> row,
+                     size_t* comparisons) const {
   switch (kind_) {
     case Kind::kTrue:
       return true;
     case Kind::kCompareColCol:
       if (comparisons != nullptr) ++*comparisons;
-      return CompareValues(op_, tuple.at(lhs_), tuple.at(rhs_col_));
+      return CompareValues(op_, row[lhs_], row[rhs_col_]);
     case Kind::kCompareColVal:
       if (comparisons != nullptr) ++*comparisons;
-      return CompareValues(op_, tuple.at(lhs_), value_);
+      return CompareValues(op_, row[lhs_], value_);
     case Kind::kIsNull:
-      return tuple.at(lhs_).is_null();
+      return row[lhs_].is_null();
     case Kind::kIsNotNull:
-      return !tuple.at(lhs_).is_null();
+      return !row[lhs_].is_null();
     case Kind::kAnd:
       for (const PredicatePtr& c : children_) {
-        if (!c->Eval(tuple, comparisons)) return false;
+        if (!c->Eval(row, comparisons)) return false;
       }
       return true;
     case Kind::kOr:
       for (const PredicatePtr& c : children_) {
-        if (c->Eval(tuple, comparisons)) return true;
+        if (c->Eval(row, comparisons)) return true;
       }
       return false;
     case Kind::kNot:
-      return !children_[0]->Eval(tuple, comparisons);
+      return !children_[0]->Eval(row, comparisons);
   }
   return false;
 }

@@ -2,6 +2,7 @@
 #define BRYQL_ALGEBRA_PREDICATE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,14 @@ class Predicate {
   CompareOp op() const { return op_; }
   const std::vector<PredicatePtr>& children() const { return children_; }
 
-  /// Evaluates against `tuple`. `comparisons`, when non-null, is
-  /// incremented once per value comparison performed — the cost metric the
-  /// paper argues about.
-  bool Eval(const Tuple& tuple, size_t* comparisons) const;
+  /// Evaluates against `row`, in place: a stored row is read where it
+  /// lies (Relation::Row). `comparisons`, when non-null, is incremented
+  /// once per value comparison performed — the cost metric the paper
+  /// argues about.
+  bool Eval(std::span<const Value> row, size_t* comparisons) const;
+  bool Eval(const Tuple& tuple, size_t* comparisons) const {
+    return Eval(std::span<const Value>(tuple.values()), comparisons);
+  }
 
   /// Largest column index referenced, or -1 when none (kTrue).
   int MaxColumn() const;

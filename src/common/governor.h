@@ -188,11 +188,11 @@ class ResourceGovernor {
     return Tick();
   }
 
-  /// Counts `n` base-relation tuple reads in one step — the columnar
+  /// Counts `n` base-relation tuple reads in one step — the zone-pruned
   /// scan's segment-granular admission. The final `scanned()` total is
   /// exactly the total of n per-row AdmitScan calls (bulk admission is a
-  /// counter reshape, not a discount), so row and columnar executions of
-  /// the same plan report bit-identical budget counters. The deadline /
+  /// counter reshape, not a discount), so a plan reports bit-identical
+  /// budget counters with and without zone maps. The deadline /
   /// cancellation / shard-flush slow path runs once per call — one poll
   /// per segment of kCheckInterval rows, the same cadence the row path's
   /// per-admission tick mask produces.

@@ -15,8 +15,7 @@ namespace bryql {
 /// answers "is row r the one I am looking for?" through the `same`
 /// callback of Find. Relation (storage) and TupleTable (the batched
 /// engine's joins and seen-sets) index their rows with it; a Relation's
-/// column indexes and a ColumnStore's string dictionaries index ids of
-/// their own (key ids, dictionary codes) the same way.
+/// column indexes index ids of their own (key ids) the same way.
 ///
 /// Power-of-two sized, load <= 1/2, linear probing, no deletion; empty
 /// (no allocation) until the first Place. Row id 2^32 - 1 is never valid,

@@ -186,8 +186,8 @@ std::string QueryProcessor::CacheKey(const std::string& text,
   // structural limits (a plan prepared under lax limits must not satisfy
   // a stricter run). Batch size and thread count are deliberately absent
   // — they pick how a plan is *driven*, not what it is, and Execute
-  // consults them directly. Views and the lowering knobs are handled by
-  // invalidation (SetViews and SetExecOptions clear the cache).
+  // consults them directly. Views are handled by invalidation (SetViews
+  // clears the cache); the catalog by the version each entry records.
   std::string key = StrategyName(strategy);
   key += '\x1f';
   key += domain_closure_ ? '1' : '0';
@@ -325,12 +325,16 @@ Result<Execution> QueryProcessor::Execute(const PreparedQueryPtr& prepared,
   if (prepared->db_version == db_->version()) {
     return ExecuteInternal(*prepared, &governor);
   }
-  // The catalog moved under the handle: re-prepare from the text, as Run
-  // does for a stale cache entry, and leave the cache as it is.
-  BRYQL_ASSIGN_OR_RETURN(
-      PreparedQueryPtr current,
-      PrepareFromText(prepared->text, prepared->strategy, options, &governor));
-  return ExecuteInternal(*current, &governor);
+  // The catalog moved under the handle: prepare its text through the
+  // plan cache, as Run does, so a handle held across a catalog move pays
+  // parse → lower once, not on every Execute.
+  bool cache_hit = false;
+  BRYQL_ASSIGN_OR_RETURN(PreparedQueryPtr current,
+                         PrepareInternal(prepared->text, prepared->strategy,
+                                         options, &governor, &cache_hit));
+  BRYQL_ASSIGN_OR_RETURN(Execution exec, ExecuteInternal(*current, &governor));
+  exec.plan_cache_hit = cache_hit;
+  return exec;
 }
 
 Result<Execution> QueryProcessor::Explain(const std::string& text,

@@ -136,13 +136,10 @@ class QueryProcessor {
     cache_.Clear();
   }
 
-  /// Physical execution knobs used by every subsequent Run/Prepare
-  /// (batch size, column-store scans).
-  /// Invalidates the plan cache — plans depend on these choices.
-  void SetExecOptions(const ExecOptions& options) {
-    exec_options_ = options;
-    cache_.Clear();
-  }
+  /// Physical execution knobs used by every subsequent run (batch size).
+  /// They are read when a plan runs, never when it is lowered, so cached
+  /// plans stay valid.
+  void SetExecOptions(const ExecOptions& options) { exec_options_ = options; }
   const ExecOptions& exec_options() const { return exec_options_; }
 
   /// Parses and runs `text` under `strategy`, governed by `options`:
@@ -181,8 +178,9 @@ class QueryProcessor {
 
   /// Executes a prepared query. No parse/rewrite/translate/lower work
   /// happens here unless the catalog version moved since preparation;
-  /// then the handle's text is prepared again, exactly as Run would, and
-  /// the plan cache is left untouched.
+  /// then the handle's text is prepared through the plan cache, exactly
+  /// as Run would, so only the first such Execute after a move pays for
+  /// it.
   Result<Execution> Execute(const PreparedQueryPtr& prepared,
                             const QueryOptions& options = {}) const;
 

@@ -11,18 +11,13 @@
 
 namespace bryql {
 
-/// Physical execution knobs.
+/// Physical execution knobs. They pick how a plan is driven, never which
+/// plan is lowered.
 struct ExecOptions {
   /// Tuples per NextBatch transfer. 1 degrades to tuple-at-a-time data
   /// flow through the same operators: answers, counters and budget
   /// verdicts are identical at every batch size.
   size_t batch_size = kDefaultBatchSize;
-
-  /// Let the lowering turn σ_pred(scan) into a ColumnarScan when the base
-  /// relation has a column store and the cost model favours it. Off means
-  /// the row path (TableScan + Filter / IndexScan) is always used — the
-  /// differential suite's oracle configuration.
-  bool use_columnar = true;
 };
 
 /// Evaluates algebra expressions over a database.

@@ -41,8 +41,7 @@ const Predicate* FindIndexedEquality(const PredicatePtr& pred,
 
 class Lowerer {
  public:
-  Lowerer(const Database& db, const ExecOptions& options)
-      : db_(db), options_(options), cost_(&db) {}
+  explicit Lowerer(const Database& db) : db_(db), cost_(&db) {}
 
   Result<PhysicalPlanPtr> Lower(const ExprPtr& expr) {
     auto node = std::make_shared<PhysicalNode>();
@@ -68,9 +67,10 @@ class Lowerer {
       case ExprKind::kSelect: {
         // Access-path selection for σ_pred(scan): an indexed equality
         // conjunct becomes an index lookup (point access beats any scan);
-        // otherwise a base relation with a column store becomes a
-        // zone-pruned columnar scan when the cost model favours it;
-        // otherwise the row path, a full scan plus filter.
+        // otherwise a base relation with zone maps becomes a zone-pruned
+        // scan, which does a subset of a full scan plus filter's work, so
+        // no cost contest is needed; otherwise the row path, a full scan
+        // plus filter.
         BRYQL_FAILPOINT("exec.lower.columnar");
         if (expr->child()->kind() == ExprKind::kScan) {
           BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
@@ -86,17 +86,11 @@ class Lowerer {
             node->predicate = std::move(residual);
             break;
           }
-          if (options_.use_columnar && rel->column_store() != nullptr) {
-            const double rows = static_cast<double>(rel->size());
-            const double columnar_cost =
-                rows * kColumnarScanCostFactor + est.rows;
-            if (columnar_cost < node->est_cost) {
-              node->kind = PhysicalKind::kColumnarScan;
-              node->relation_name = expr->child()->relation_name();
-              node->predicate = expr->predicate();
-              node->est_cost = columnar_cost;
-              break;
-            }
+          if (rel->zone_maps() != nullptr) {
+            node->kind = PhysicalKind::kColumnarScan;
+            node->relation_name = expr->child()->relation_name();
+            node->predicate = expr->predicate();
+            break;
           }
         }
         node->kind = PhysicalKind::kFilter;
@@ -272,113 +266,17 @@ class Lowerer {
   }
 
   const Database& db_;
-  const ExecOptions& options_;
   CostModel cost_;
 };
 
-/// Post-pass annotating each node's ParallelRole — the lowering-time
-/// record of where the ParallelRuntime would place exchange (morsel
-/// dispensers) and merge (shared materialization) points. The walk
-/// mirrors ParallelRuntime::PrepareSpine: the spine is the streaming path
-/// from the root through filters/projects/unions, product left inputs and
-/// join probe inputs down to the scans; everything hanging off it is
-/// computed once and shared.
-///
-/// The tree was freshly built above with a single owner, so the
-/// const_cast is sound — annotation finishes before the plan is
-/// published (cached, shared across threads).
-void AnnotateParallel(const PhysicalNode* cnode, bool on_spine) {
-  PhysicalNode* node = const_cast<PhysicalNode*>(cnode);
-  if (!on_spine) {
-    // Off-spine subtrees run serially (inside a coordinator
-    // materialization or a shared build drain); their descendants too.
-    node->parallel_role = ParallelRole::kSerial;
-    for (const PhysicalPlanPtr& child : node->children) {
-      AnnotateParallel(child.get(), false);
-    }
-    return;
-  }
-  switch (node->kind) {
-    case PhysicalKind::kTableScan:
-    case PhysicalKind::kLiteralScan:
-    case PhysicalKind::kIndexScan:
-    case PhysicalKind::kColumnarScan:
-      node->parallel_role = ParallelRole::kPartition;
-      break;
-    case PhysicalKind::kFilter:
-    case PhysicalKind::kProject:
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      break;
-    case PhysicalKind::kUnion:
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      AnnotateParallel(node->children[1].get(), true);
-      break;
-    case PhysicalKind::kProduct: {
-      // Left streams per worker; the right side is materialized once by
-      // the coordinator and borrowed by every worker's product.
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      PhysicalNode* right = const_cast<PhysicalNode*>(node->children[1].get());
-      AnnotateParallel(right, false);
-      right->parallel_role = ParallelRole::kMaterializeShared;
-      break;
-    }
-    case PhysicalKind::kHashJoin: {
-      // Probe side streams per worker; the build side is drained once
-      // (itself morsel-parallel) into the shared build structure.
-      node->parallel_role = ParallelRole::kPipeline;
-      const size_t probe = node->build_left ? 1 : 0;
-      AnnotateParallel(node->children[probe].get(), true);
-      PhysicalNode* build =
-          const_cast<PhysicalNode*>(node->children[1 - probe].get());
-      AnnotateParallel(build, true);
-      build->parallel_role = ParallelRole::kBuildShared;
-      break;
-    }
-    case PhysicalKind::kProbeJoin:
-      // Probe side streams per worker; the stored relation is probed
-      // read-only.
-      node->parallel_role = ParallelRole::kPipeline;
-      AnnotateParallel(node->children[0].get(), true);
-      break;
-    case PhysicalKind::kDivision:
-    case PhysicalKind::kGroupDivision:
-    case PhysicalKind::kGroupCount:
-      // Blocking operators terminate the spine: the coordinator computes
-      // them once (serially) and workers share the materialized result.
-      node->parallel_role = ParallelRole::kMaterializeShared;
-      for (const PhysicalPlanPtr& child : node->children) {
-        AnnotateParallel(child.get(), false);
-      }
-      break;
-    case PhysicalKind::kNonEmpty:
-    case PhysicalKind::kBoolNot:
-    case PhysicalKind::kBoolAnd:
-    case PhysicalKind::kBoolOr:
-      // Boolean subtrees evaluate once (their truth value is shared),
-      // but *through* the parallel witness machinery: composites
-      // short-circuit on the coordinator while each non-emptiness test
-      // races all workers over its child's spine.
-      node->parallel_role = ParallelRole::kMaterializeShared;
-      for (const PhysicalPlanPtr& child : node->children) {
-        AnnotateParallel(child.get(), true);
-      }
-      break;
-  }
-}
-
 }  // namespace
 
+// No ExecOptions field shapes a plan; the parameter stays for callers.
 Result<PhysicalPlanPtr> LowerPlan(const Database& db,
-                                  const ExecOptions& options,
+                                  [[maybe_unused]] const ExecOptions& options,
                                   const ExprPtr& expr) {
   BRYQL_FAILPOINT("exec.lower.plan");
-  Lowerer lowerer(db, options);
-  BRYQL_ASSIGN_OR_RETURN(PhysicalPlanPtr plan, lowerer.Lower(expr));
-  AnnotateParallel(plan.get(), /*on_spine=*/true);
-  return plan;
+  return Lowerer(db).Lower(expr);
 }
 
 }  // namespace bryql

@@ -16,7 +16,9 @@ namespace bryql {
 /// evaluation time:
 ///
 ///   * access paths — σ_{col=value}(scan) over an indexed column becomes
-///     an IndexScan with the remaining conjuncts as a residual filter;
+///     an IndexScan with the remaining conjuncts as a residual filter,
+///     and any other σ_pred(scan) over a relation with zone maps a
+///     zone-pruned ColumnarScan;
 ///   * join algorithm — the whole join family (inner, semi,
 ///     complement/anti, outer, mark) lowers to HashJoin, and
 ///     difference/intersection lower to whole-tuple-key semi/anti joins
@@ -35,6 +37,9 @@ namespace bryql {
 /// Validation matches Executor::Evaluate: `expr` must be well-formed
 /// (Expr::Arity succeeds on every node); depth limits are the caller's
 /// concern because they are a property of the governor, not the plan.
+///
+/// No ExecOptions field shapes a plan (batch size is read when the plan
+/// runs); `options` is kept only because existing callers pass it.
 Result<PhysicalPlanPtr> LowerPlan(const Database& db,
                                   const ExecOptions& options,
                                   const ExprPtr& expr);

@@ -114,7 +114,7 @@ class TimedOp : public PhysicalOperator {
 
 /// The stored relation `node` (a scan or probe join) reads, refused
 /// unless it is still what the plan was lowered for: its arity (the key
-/// count of a contains probe), and the index or column store it reads
+/// count of a contains probe), and the index or zone maps it reads
 /// through. Every stored relation enters a plan at such a node, so a plan
 /// runs only on the catalog it was lowered for. QueryProcessor
 /// re-prepares stale plans from their text, so only a physical plan run
@@ -133,8 +133,8 @@ Result<const Relation*> LoweredRelation(const Database& db,
   } else if (by_index && !rel->HasIndex(node.index_column)) {
     lost = "an index on column " + std::to_string(node.index_column);
   } else if (node.kind == PhysicalKind::kColumnarScan &&
-             rel->column_store() == nullptr) {
-    lost = "a column store";
+             rel->zone_maps() == nullptr) {
+    lost = "zone maps";
   } else {
     return rel;
   }
@@ -204,8 +204,8 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              LoweredRelation(*ctx_.db, *node));
-      op = PhysicalOpPtr(new ColumnarScanOp(rel->column_store(),
-                                            node->predicate, ctx_, morsels));
+      op = PhysicalOpPtr(
+          new ColumnarScanOp(rel, node->predicate, ctx_, morsels));
       break;
     }
     case PhysicalKind::kFilter: {

@@ -54,12 +54,12 @@ struct ExecStats {
   /// Operator instances evaluated (iterator openings / physical operator
   /// instantiations).
   size_t operators = 0;
-  /// Column-store segments whose rows a columnar scan evaluated (or
+  /// Zone-map segments whose rows a zone-pruned scan evaluated (or
   /// emitted wholesale on an all-match zone verdict).
   size_t segments_scanned = 0;
-  /// Column-store segments skipped entirely by a zone-map verdict. Budget
-  /// accounting still admits their rows (parity with the row engine);
-  /// pruning saves value work, which `comparisons` shows.
+  /// Zone-map segments skipped entirely by a zone verdict. Budget
+  /// accounting still admits their rows (parity with the row path);
+  /// pruning saves comparisons, which `comparisons` shows.
   size_t segments_pruned = 0;
   /// Per-operator detail, in plan-instantiation order (root first). Empty
   /// under the tuple-at-a-time engine, which has no per-operator clock.
@@ -85,8 +85,8 @@ struct ExecStats {
     out += " comparisons=" + std::to_string(comparisons);
     out += " probes=" + std::to_string(hash_probes);
     out += " operators=" + std::to_string(operators);
-    // Columnar counters only appear when a columnar scan ran, keeping the
-    // line stable for the (row-only) golden outputs.
+    // Segment counters only appear when a zone-pruned scan ran, keeping
+    // the line stable for the (row-only) golden outputs.
     if (segments_scanned != 0 || segments_pruned != 0) {
       out += " segments=" + std::to_string(segments_scanned);
       out += " pruned=" + std::to_string(segments_pruned);

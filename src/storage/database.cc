@@ -60,7 +60,7 @@ Status Database::EnableColumnar(const std::string& name) {
   if (it == relations_.end()) {
     return Status::NotFound("no relation named '" + name + "'");
   }
-  it->second.BuildColumnStore();
+  it->second.BuildZoneMaps();
   // A new access path invalidates prepared plans, like BuildIndex does.
   ++version_;
   return Status::Ok();
@@ -69,8 +69,8 @@ Status Database::EnableColumnar(const std::string& name) {
 void Database::EnableColumnarAll() {
   bool built = false;
   for (auto& [name, rel] : relations_) {
-    if (rel.column_store() == nullptr) {
-      rel.BuildColumnStore();
+    if (rel.zone_maps() == nullptr) {
+      rel.BuildZoneMaps();
       built = true;
     }
   }

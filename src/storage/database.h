@@ -43,13 +43,14 @@ class Database {
   /// Builds indexes on every column of every stored relation.
   void BuildAllIndexes();
 
-  /// Builds the column-major store for relation `name` (NotFound when no
-  /// such relation). Once built it is maintained by inserts, and the
-  /// lowerer may pick a columnar scan over it.
+  /// Builds zone maps over the rows of relation `name` (NotFound when no
+  /// such relation). Once built they are maintained by inserts, and the
+  /// lowerer turns a selection over the relation into a zone-pruned
+  /// ColumnarScan.
   Status EnableColumnar(const std::string& name);
 
-  /// Builds column stores for every relation that lacks one. Idempotent:
-  /// the catalog version only advances when a store was actually built,
+  /// Builds zone maps for every relation that lacks them. Idempotent:
+  /// the catalog version only advances when zone maps were actually built,
   /// so prepared plans survive redundant calls.
   void EnableColumnarAll();
 

@@ -24,18 +24,10 @@ bool SameRow(std::span<const Value> x, std::span<const Value> y) {
 
 }  // namespace
 
-// The row table, the column indexes and the column store each keep the
-// source's spare capacity: a commit copies a relation and then inserts
-// into the copy, and exactly sized arrays would be reallocated whole by
-// the first Insert.
-Relation::Relation(const Relation& other)
-    : arity_(other.arity_),
-      rows_(other.rows_),
-      column_indexes_(other.column_indexes_),
-      columnar_(other.columnar_
-                    ? std::make_unique<ColumnStore>(*other.columnar_)
-                    : nullptr) {}
-
+// The row table and the column indexes each keep the source's spare
+// capacity when copied: a commit copies a relation and then inserts into
+// the copy, and exactly sized arrays would be reallocated whole by the
+// first Insert.
 Relation::ColumnIndex::ColumnIndex(const ColumnIndex& other)
     : keys(other.keys) {
   lists.reserve(other.lists.capacity());
@@ -82,7 +74,7 @@ Result<bool> Relation::Insert(std::span<const Value> row) {
   for (auto& [column, column_index] : column_indexes_) {
     IndexRow(&column_index, column, id);
   }
-  if (columnar_) columnar_->Append(Row(id));
+  if (zone_maps_) zone_maps_->Append(id, Row(id));
   return true;
 }
 
@@ -114,9 +106,9 @@ void Relation::IndexRow(ColumnIndex* index, size_t column, uint32_t row) {
   arena[list.begin + list.count++] = row;
 }
 
-void Relation::BuildColumnStore() {
-  columnar_ = std::make_unique<ColumnStore>(arity_);
-  for (size_t r = 0; r < size(); ++r) columnar_->Append(Row(r));
+void Relation::BuildZoneMaps() {
+  zone_maps_.emplace(arity_);
+  for (size_t r = 0; r < size(); ++r) zone_maps_->Append(r, Row(r));
 }
 
 Status Relation::BuildIndex(size_t column) {

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,9 +11,9 @@
 #include "common/result.h"
 #include "common/slot_table.h"
 #include "common/status.h"
-#include "storage/columnar/column_store.h"
 #include "storage/tuple.h"
 #include "storage/tuple_table.h"
+#include "storage/zone_map.h"
 
 namespace bryql {
 
@@ -38,10 +38,10 @@ class Relation {
   /// boolean constants: {} is false, {()} is true.
   explicit Relation(size_t arity = 0) : arity_(arity) {}
 
-  /// Copies deep-copy the optional column store so the copy stays
-  /// self-contained (Database hands out copies of cached domains, tests
-  /// copy fixtures); moves transfer it and leave the source empty.
-  Relation(const Relation& other);
+  /// Copies are deep and self-contained (Database hands out copies of
+  /// cached domains, a commit copies a relation and inserts into the
+  /// copy); moves leave the source empty.
+  Relation(const Relation& other) = default;
   Relation& operator=(const Relation& other);
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
@@ -114,16 +114,19 @@ class Relation {
   /// relation.
   std::span<const uint32_t> Matches(size_t column, const Value& value) const;
 
-  /// --- columnar representation ------------------------------------
-  /// An optional column-major mirror of rows(), built on demand and then
-  /// maintained incrementally by Insert. The row store stays
-  /// authoritative; the column store is an acceleration structure with
-  /// the invariant rows()[i] == columnar row i.
+  /// --- zone maps -------------------------------------------------
+  /// Optional per-segment statistics over the rows (ZoneMaps: count,
+  /// nulls, min, max per column and 1024-row segment), built on demand
+  /// and then maintained by Insert. They let a scan skip a segment no row
+  /// of which can match, or pass one every row of which matches, without
+  /// reading it. They hold no copy of a row.
 
-  /// Builds (or rebuilds) the column store from the current rows.
-  void BuildColumnStore();
-  /// The column store, or nullptr when BuildColumnStore was never called.
-  const ColumnStore* column_store() const { return columnar_.get(); }
+  /// Builds (or rebuilds) the zone maps from the current rows.
+  void BuildZoneMaps();
+  /// The zone maps, or nullptr when BuildZoneMaps was never called.
+  const ZoneMaps* zone_maps() const {
+    return zone_maps_ ? &*zone_maps_ : nullptr;
+  }
 
  private:
   /// The index on one column. Key ids are found by value hash in `keys`;
@@ -170,7 +173,7 @@ class Relation {
   /// The rows, a set in insertion order; row id == position in rows().
   TupleTable rows_;
   std::map<size_t, ColumnIndex> column_indexes_;
-  std::unique_ptr<ColumnStore> columnar_;
+  std::optional<ZoneMaps> zone_maps_;
 };
 
 }  // namespace bryql

@@ -46,7 +46,7 @@ class Tuple {
   void Append(Value v) { values_.push_back(std::move(v)); }
 
   /// Empties the tuple but keeps its storage, so a warm slot can be
-  /// rebuilt in place (the columnar gather path).
+  /// rebuilt in place (a projection builds its row this way).
   void Clear() { values_.clear(); }
 
   /// Replaces the values with a copy of `values`, reusing the tuple's

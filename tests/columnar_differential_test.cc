@@ -1,10 +1,10 @@
-// The columnar differential suite: the row engine stays authoritative,
-// and a database with column stores enabled must produce bit-identical
-// answers — and matching governor counters where execution is
-// deterministic — across the whole 16-query paper suite, at every
-// parallelism degree, under tuple budgets, and down the service layer's
-// degradation ladder. `comparisons` is deliberately not compared: fewer
-// comparisons at equal answers is the columnar layer's entire point.
+// The zone-map differential suite: the row path stays authoritative. A
+// database with zone maps (EnableColumnarAll) must produce bit-identical
+// answers to a copy of it taken before they were built — and matching
+// governor counters where execution is deterministic — across the whole
+// 16-query paper suite, at every parallelism degree, under tuple budgets,
+// and down the service layer's degradation ladder. `comparisons` may only
+// fall: skipping comparisons at equal answers is what zone maps are for.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +27,6 @@ UniversityConfig SmallConfig(uint64_t seed) {
   return config;
 }
 
-ExecOptions RowOnlyOptions() {
-  ExecOptions options;
-  options.use_columnar = false;
-  return options;
-}
-
 void ExpectSameAnswer(const Execution& a, const Execution& b,
                       const std::string& label) {
   ASSERT_EQ(a.answer.closed, b.answer.closed) << label;
@@ -47,10 +41,12 @@ class ColumnarDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     db_ = MakeUniversity(SmallConfig(GetParam()));
+    row_db_ = db_;  // the row path: the same catalog without zone maps
     db_.EnableColumnarAll();
   }
 
   Database db_;
+  Database row_db_;
 };
 
 /// Whole suite, threads {0, 1, 2, 8}: answers must be bit-identical, and
@@ -60,8 +56,7 @@ class ColumnarDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 /// only the serial degrees pin their counters.
 TEST_P(ColumnarDifferentialTest, SuiteAgreesWithRowEngine) {
   QueryProcessor columnar_qp(&db_);
-  QueryProcessor row_qp(&db_);
-  row_qp.SetExecOptions(RowOnlyOptions());
+  QueryProcessor row_qp(&row_db_);
 
   for (size_t threads : {0u, 1u, 2u, 8u}) {
     QueryOptions options;
@@ -80,6 +75,7 @@ TEST_P(ColumnarDifferentialTest, SuiteAgreesWithRowEngine) {
         EXPECT_EQ(col->stats.tuples_materialized,
                   row->stats.tuples_materialized)
             << label;
+        EXPECT_LE(col->stats.comparisons, row->stats.comparisons) << label;
       }
     }
   }
@@ -89,8 +85,7 @@ TEST_P(ColumnarDifferentialTest, SuiteAgreesWithRowEngine) {
 /// both fit, the same StatusCode when either trips.
 TEST_P(ColumnarDifferentialTest, BudgetsTripIdentically) {
   QueryProcessor columnar_qp(&db_);
-  QueryProcessor row_qp(&db_);
-  row_qp.SetExecOptions(RowOnlyOptions());
+  QueryProcessor row_qp(&row_db_);
 
   struct Budget {
     const char* label;
@@ -131,8 +126,7 @@ TEST_P(ColumnarDifferentialTest, BudgetsTripIdentically) {
 /// algebra (and with it the columnar path) for the nested loop.
 TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   QueryProcessor columnar_qp(&db_);
-  QueryProcessor row_qp(&db_);
-  row_qp.SetExecOptions(RowOnlyOptions());
+  QueryProcessor row_qp(&row_db_);
 
   struct Rung {
     const char* label;
@@ -173,9 +167,9 @@ TEST_P(ColumnarDifferentialTest, DegradationLadderPreservesParity) {
   }
 }
 
-/// Enabling column stores moves the catalog version, so plans prepared
+/// Building zone maps moves the catalog version, so plans prepared
 /// before stay row-path and correct, and re-running after the enable
-/// re-lowers onto the columnar path without changing any answer.
+/// re-lowers onto zone-pruned scans without changing any answer.
 TEST_P(ColumnarDifferentialTest, EnableColumnarInvalidatesCachedPlans) {
   Database db = MakeUniversity(SmallConfig(GetParam()));
   QueryProcessor qp(&db);
@@ -186,7 +180,7 @@ TEST_P(ColumnarDifferentialTest, EnableColumnarInvalidatesCachedPlans) {
   const uint64_t version = db.version();
   db.EnableColumnarAll();
   EXPECT_GT(db.version(), version);
-  // Idempotent: every store already exists, the version must not move.
+  // Idempotent: every relation has zone maps, the version must not move.
   const uint64_t after_enable = db.version();
   db.EnableColumnarAll();
   EXPECT_EQ(db.version(), after_enable);

@@ -168,23 +168,28 @@ TEST(PlanCacheBehaviorTest, PrepareIsServedFromCacheAfterRun) {
   EXPECT_EQ((*prepared)->text, text);
 }
 
-TEST(PlanCacheBehaviorTest, DistinctStrategiesAndOptionsMissTheCache) {
+TEST(PlanCacheBehaviorTest, DistinctStrategiesMissAndExecOptionsKeepTheCache) {
   Database db = MakeUniversity(SmallConfig(3));
   QueryProcessor qp(&db);
   const std::string text = "exists x: student(x) & makes(x, phd)";
-  ASSERT_TRUE(qp.Run(text, Strategy::kBry).ok());
+  auto first = qp.Run(text, Strategy::kBry);
+  ASSERT_TRUE(first.ok());
   ASSERT_TRUE(qp.Run(text, Strategy::kClassical).ok());
   EXPECT_EQ(qp.cache_size(), 2u);  // one entry per strategy
   EXPECT_EQ(qp.cache_stats().hits, 0u);
 
-  // Changing exec options invalidates everything.
-  ExecOptions row_path;
-  row_path.use_columnar = false;
-  qp.SetExecOptions(row_path);
-  EXPECT_EQ(qp.cache_size(), 0u);
+  // Exec options are read when a plan runs, never when it is lowered, so
+  // changing them keeps every cached plan.
+  ExecOptions size1;
+  size1.batch_size = 1;
+  qp.SetExecOptions(size1);
+  EXPECT_EQ(qp.cache_size(), 2u);
+  const PrepareCounters before = qp.prepare_counters();
   auto rerun = qp.Run(text, Strategy::kBry);
   ASSERT_TRUE(rerun.ok());
-  EXPECT_FALSE(rerun->plan_cache_hit);
+  EXPECT_TRUE(rerun->plan_cache_hit);
+  EXPECT_EQ(qp.prepare_counters().lowerings, before.lowerings);
+  ExpectSameAnswer(*first, *rerun, "batch size 1 on the cached plan");
 }
 
 TEST(PlanCacheBehaviorTest, CatalogChangeInvalidatesCachedLowering) {

@@ -47,7 +47,7 @@ inline const std::vector<std::string>& Queries() {
   return queries;
 }
 
-/// Indexed on every column, with column stores for the columnar runs.
+/// Indexed on every column; the zone-map runs use a copy with zone maps.
 inline Database MakeDatabase(uint64_t seed) {
   UniversityConfig config;
   config.students = 60;
@@ -56,7 +56,6 @@ inline Database MakeDatabase(uint64_t seed) {
   config.seed = seed;
   Database db = MakeUniversity(config);
   db.BuildAllIndexes();
-  db.EnableColumnarAll();
   return db;
 }
 
@@ -281,15 +280,20 @@ inline std::vector<Limit> Limits(size_t threads,
   return limits;
 }
 
-/// The whole differential at one thread count, across row/columnar and
-/// batch sizes 1 and 1024. Counters are compared wherever execution is
-/// deterministic: always serially, and for open queries in parallel
-/// (closed queries race workers to the first witness). A tuple cap trips
-/// exactly when the plan's serial uncapped count exceeds it; a finite cap
-/// runs witness tests serially, so this holds at every thread count.
+/// The whole differential at one thread count, with and without zone
+/// maps and at batch sizes 1 and 1024. With zone maps, a probe plan must
+/// also match the same plan without them: the same scanned, materialized
+/// and probes, and no more comparisons. Counters are compared wherever
+/// execution is deterministic: always serially, and for open queries in
+/// parallel (closed queries race workers to the first witness). A tuple
+/// cap trips exactly when the plan's serial uncapped count exceeds it; a
+/// finite cap runs witness tests serially, so this holds at every thread
+/// count.
 inline void ExpectParity(uint64_t seed, size_t threads) {
-  Database db = MakeDatabase(seed);
-  QueryProcessor qp(&db);
+  const Database row_db = MakeDatabase(seed);
+  Database zone_db = row_db;
+  zone_db.EnableColumnarAll();
+  QueryProcessor qp(&row_db);
   CancellationToken cancelled;
   cancelled.Cancel();
   bool seen[2][2][2] = {};  // [by_index][anti][under NonEmpty]
@@ -299,16 +303,17 @@ inline void ExpectParity(uint64_t seed, size_t threads) {
     ASSERT_TRUE(oracle.ok()) << text << ": " << oracle.status();
     Result<Execution> explained = qp.Explain(text);
     ASSERT_TRUE(explained.ok()) << text << ": " << explained.status();
-    const ExprPtr twin_expr = LiteralTwin(explained->plan, db);
+    const ExprPtr twin_expr = LiteralTwin(explained->plan, row_db);
+    std::map<size_t, ExecStats> row_stats;  // by batch size
 
-    for (bool columnar : {false, true}) {
+    for (bool zones : {false, true}) {
+      const Database& db = zones ? zone_db : row_db;
       for (size_t batch : {1u, 1024u}) {
         ExecOptions exec;
-        exec.use_columnar = columnar;
         exec.batch_size = batch;
         const std::string label =
             text + " [threads=" + std::to_string(threads) +
-            (columnar ? " columnar" : " row") +
+            (zones ? " zones" : " row") +
             " batch=" + std::to_string(batch) + "]";
         Executor lowerer(&db, exec);
         Result<PhysicalPlanPtr> probe = lowerer.Lower(explained->plan);
@@ -339,6 +344,16 @@ inline void ExpectParity(uint64_t seed, size_t threads) {
           ExpectChargesWhatItReads(
               SkippedBuilds(db, *probe, got.stats, threads == 0), want.stats,
               got.stats, label);
+          if (!zones) {
+            row_stats[batch] = got.stats;
+          } else {
+            const ExecStats& row = row_stats[batch];
+            EXPECT_EQ(got.stats.tuples_scanned, row.tuples_scanned) << label;
+            EXPECT_EQ(got.stats.tuples_materialized, row.tuples_materialized)
+                << label;
+            EXPECT_EQ(got.stats.hash_probes, row.hash_probes) << label;
+            EXPECT_LE(got.stats.comparisons, row.comparisons) << label;
+          }
         }
         const ExecStats serial =
             threads == 0 ? got.stats

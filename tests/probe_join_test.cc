@@ -51,7 +51,6 @@ TEST(ProbeJoinLoweringTest, KeysCoveringEveryColumnProbeContains) {
   // The build is never lowered: the one child is the probe side.
   ASSERT_EQ(plan->children.size(), 1u);
   EXPECT_EQ(plan->children[0]->Label(), "TableScan p");
-  EXPECT_EQ(plan->children[0]->parallel_role, ParallelRole::kPartition);
 }
 
 TEST(ProbeJoinLoweringTest, PartialOrRepeatedKeysKeepTheHashJoin) {
