@@ -21,8 +21,9 @@
 //   .threads <n>              morsel-parallel execution with n workers
 //                             (0 = serial, the default)
 //   .columnar on              build zone maps on every relation, now
-//                             and for relations defined later, so a
-//                             selection scans zone-pruned (answers
+//                             and for relations defined later, so
+//                             every scan with a selection prunes by
+//                             them; plans are unchanged (answers
 //                             never change; there is no way back)
 //   .service                  toggle the fault-tolerant front door
 //                             (DESIGN.md §9): admission, retries,
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
     if (line == ".columnar on") {
       use_columnar = true;
       db.EnableColumnarAll();
-      std::cout << "columnar on (zone maps built, zone-pruned scans)\n";
+      std::cout << "columnar on (zone maps built, selections prune by them)\n";
       continue;
     }
     if (line == ".service") {

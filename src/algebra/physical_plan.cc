@@ -30,8 +30,6 @@ const char* PhysicalKindName(PhysicalKind kind) {
       return "LiteralScan";
     case PhysicalKind::kIndexScan:
       return "IndexScan";
-    case PhysicalKind::kColumnarScan:
-      return "ColumnarScan";
     case PhysicalKind::kFilter:
       return "Filter";
     case PhysicalKind::kProject:
@@ -88,6 +86,7 @@ std::string PhysicalNode::Label() const {
   switch (kind) {
     case PhysicalKind::kTableScan:
       out += " " + relation_name;
+      if (predicate != nullptr) out += " [" + predicate->ToString() + "]";
       break;
     case PhysicalKind::kLiteralScan:
       out += " (" + std::to_string(literal != nullptr ? literal->size() : 0) +
@@ -97,10 +96,6 @@ std::string PhysicalNode::Label() const {
       out += " " + relation_name + " [$" + std::to_string(index_column) +
              " = " + index_value.ToString() + "]";
       if (predicate != nullptr) out += " residual " + predicate->ToString();
-      break;
-    case PhysicalKind::kColumnarScan:
-      out += " " + relation_name;
-      if (predicate != nullptr) out += " [" + predicate->ToString() + "]";
       break;
     case PhysicalKind::kFilter:
       out += " " + predicate->ToString();

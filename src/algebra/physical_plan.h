@@ -15,8 +15,8 @@ namespace bryql {
 /// Which member of the join family to compute. The paper's observation —
 /// the complement-join "is easily implemented by modifying any semi-join
 /// algorithm" (§3.1), and likewise the constrained outer-join from any
-/// join (§3.3) — holds for the hash join and the in-place probe join
-/// alike, so the variant is orthogonal to the physical algorithm choice.
+/// join (§3.3) — holds for the hash join whether it drains its build or
+/// probes a stored relation, so the variant is one field of one operator.
 enum class JoinVariant {
   kInner,      // ⋈: concatenated matches
   kSemi,       // ⋉: left rows with a partner
@@ -29,18 +29,17 @@ const char* JoinVariantName(JoinVariant variant);
 
 /// Physical operator kinds — what the lowering pass compiles the logical
 /// Expr tree into. Where ExprKind says *what* is computed, PhysicalKind
-/// says *how*: access path (table vs. index scan), join algorithm (hash
-/// vs. in-place probe), and build-side placement are all explicit here.
+/// says *how*: access path (table vs. index scan), build side (drained
+/// vs. a stored relation), and build-side placement are all explicit here.
 enum class PhysicalKind {
-  kTableScan,      // full scan of a named base relation
+  kTableScan,      // scan of a named base relation, σ_pred fused in
   kLiteralScan,    // scan of an inline relation
   kIndexScan,      // hash-index bucket lookup + residual filter
-  kColumnarScan,   // zone-pruned scan of the rows, predicate pushed down
   kFilter,         // σ_pred over a stream
   kProject,        // π_cols with streaming dedup
   kProduct,        // ×, right side materialized
   kHashJoin,       // build + probe; covers all five JoinVariants
-  kProbeJoin,      // semi/anti join probing a stored relation in place
+  kProbeJoin,      // semi/anti hash join whose build is a stored relation
   kDivision,       // ÷
   kGroupDivision,  // per-group ÷
   kGroupCount,     // γ
@@ -66,7 +65,7 @@ struct PhysicalNode {
   PhysicalKind kind = PhysicalKind::kTableScan;
   std::vector<PhysicalPlanPtr> children;
 
-  /// kTableScan / kIndexScan / kColumnarScan / kProbeJoin: base relation
+  /// kTableScan / kIndexScan / kProbeJoin: base relation
   /// name, resolved against the catalog at instantiation time (never a
   /// raw pointer, so cached plans survive catalog updates).
   std::string relation_name;
@@ -77,14 +76,14 @@ struct PhysicalNode {
   size_t index_column = 0;
   Value index_value;
   /// kProbeJoin: true probes the index on `index_column` (the logical
-  /// build was π_index_column(relation)); false probes Relation::Contains
-  /// (the build was the relation itself, every column keyed once). The
-  /// node's one child is the probe side.
+  /// build was π_index_column(relation)); false probes
+  /// Relation::ContainsKey (the build was the relation itself, every
+  /// column keyed once). The node's one child is the probe side.
   bool probe_by_index = false;
 
-  /// kFilter and kColumnarScan predicate; kIndexScan residual; kHashJoin residual (kInner,
-  /// over the concatenated tuple) or probe constraint (kLeftOuter/kMark,
-  /// over the left tuple).
+  /// kFilter predicate; kTableScan selection (null: every row); kIndexScan
+  /// residual; kHashJoin residual (kInner, over the concatenated tuple) or
+  /// probe constraint (kLeftOuter/kMark, over the left tuple).
   PredicatePtr predicate;
 
   /// kProject columns.

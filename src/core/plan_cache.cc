@@ -1,11 +1,14 @@
 #include "core/plan_cache.h"
 
+#include "core/query_processor.h"
+
 namespace bryql {
 
-PreparedQueryPtr PlanCache::Get(const std::string& key) {
+PreparedQueryPtr PlanCache::Get(const std::string& key,
+                               uint64_t db_version) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || it->second->second->db_version != db_version) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }

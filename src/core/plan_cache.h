@@ -32,9 +32,10 @@ struct PlanCacheStats {
 /// A bounded LRU cache of prepared queries, keyed on the full preparation
 /// context (query text + strategy + plan-shaping options — see
 /// QueryProcessor::CacheKey). Entries are shared immutable snapshots, so a
-/// hit is one map lookup plus a shared_ptr copy; staleness against the
-/// catalog is the *caller's* check (PreparedQuery::db_version), because
-/// the cache has no reason to know about databases.
+/// hit is one map lookup plus a shared_ptr copy. An entry prepared against
+/// another catalog version (PreparedQuery::db_version) is stale: Get
+/// counts it as a miss, and the caller's Put of the re-prepared query
+/// replaces it.
 ///
 /// Thread-safe: a single mutex guards the map and the recency list; the
 /// hit/miss/eviction counters are atomics, so stats() never takes the
@@ -48,8 +49,10 @@ class PlanCache {
   explicit PlanCache(size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// The entry under `key`, refreshed as most-recently used, or null.
-  PreparedQueryPtr Get(const std::string& key);
+  /// The entry under `key` prepared against catalog version
+  /// `db_version`, refreshed as most-recently used; null (a miss) when
+  /// there is none or it is stale.
+  PreparedQueryPtr Get(const std::string& key, uint64_t db_version);
 
   /// Inserts (or replaces) the entry under `key`, evicting the
   /// least-recently-used entry when over capacity.

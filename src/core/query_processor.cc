@@ -121,22 +121,6 @@ Result<Execution> QueryProcessor::BuildExecution(
   exec.strategy = strategy;
   exec.query = query;
   std::set<std::string> targets(query.targets.begin(), query.targets.end());
-  if (strategy == Strategy::kNestedLoop) {
-    // Figure 1 interprets the calculus directly; normalization is still
-    // applied so all strategies answer the same canonical question (the
-    // interpreter handles ∀ natively, so this is not required, but it
-    // keeps the comparison apples-to-apples on the same formula).
-    CountPhase(&PrepareCounters::normalizations);
-    BRYQL_ASSIGN_OR_RETURN(NormalizeResult norm,
-                           NormalizeQuery(query, rewrite_options));
-    exec.canonical = norm.formula;
-    exec.rewrite_steps = norm.steps();
-    if (domain_closure_ && !CheckRestrictedQuery(exec.canonical, targets).ok()) {
-      BRYQL_ASSIGN_OR_RETURN(exec.canonical,
-                             ApplyDomainClosure(exec.canonical, targets));
-    }
-    return exec;
-  }
   if (strategy == Strategy::kClassical) {
     // The conventional methods reduce the raw query directly (prenex
     // form); no canonical form phase.
@@ -161,6 +145,11 @@ Result<Execution> QueryProcessor::BuildExecution(
     BRYQL_ASSIGN_OR_RETURN(exec.canonical,
                            ApplyDomainClosure(exec.canonical, targets));
   }
+  // Figure 1 interprets the calculus directly; the canonical form is
+  // still what it answers, so all strategies answer the same question
+  // (the interpreter handles ∀ natively, so this is not required, but it
+  // keeps the comparison apples-to-apples on the same formula).
+  if (strategy == Strategy::kNestedLoop) return exec;
   CountPhase(&PrepareCounters::translations);
   Translator translator(db_, OptionsFor(strategy));
   if (query.closed()) {
@@ -210,15 +199,13 @@ Result<PreparedQueryPtr> QueryProcessor::PrepareInternal(
   const bool use_cache = !options.bypass_plan_cache;
   const std::string key =
       use_cache ? CacheKey(text, strategy, options) : std::string();
+  // An entry prepared before the catalog moved (relation replaced, index
+  // built) is a miss: arities and access paths may have changed, so the
+  // text is prepared again, and the fresh entry replaces the stale one.
   if (use_cache) {
-    if (PreparedQueryPtr cached = cache_.Get(key)) {
-      if (cached->db_version == db_->version()) {
-        *cache_hit = true;
-        return cached;
-      }
-      // The catalog moved under the cached plan (relation replaced, index
-      // built): arities and access paths may have changed, so re-prepare
-      // from the text. The refreshed entry replaces the stale one below.
+    if (PreparedQueryPtr cached = cache_.Get(key, db_->version())) {
+      *cache_hit = true;
+      return cached;
     }
   }
   *cache_hit = false;

@@ -67,10 +67,8 @@ class Lowerer {
       case ExprKind::kSelect: {
         // Access-path selection for σ_pred(scan): an indexed equality
         // conjunct becomes an index lookup (point access beats any scan);
-        // otherwise a base relation with zone maps becomes a zone-pruned
-        // scan, which does a subset of a full scan plus filter's work, so
-        // no cost contest is needed; otherwise the row path, a full scan
-        // plus filter.
+        // otherwise the predicate is fused into the scan, which prunes by
+        // zone maps if the relation has them when the plan runs.
         BRYQL_FAILPOINT("exec.lower.columnar");
         if (expr->child()->kind() == ExprKind::kScan) {
           BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
@@ -86,12 +84,10 @@ class Lowerer {
             node->predicate = std::move(residual);
             break;
           }
-          if (rel->zone_maps() != nullptr) {
-            node->kind = PhysicalKind::kColumnarScan;
-            node->relation_name = expr->child()->relation_name();
-            node->predicate = expr->predicate();
-            break;
-          }
+          node->kind = PhysicalKind::kTableScan;
+          node->relation_name = expr->child()->relation_name();
+          node->predicate = expr->predicate();
+          break;
         }
         node->kind = PhysicalKind::kFilter;
         node->predicate = expr->predicate();
@@ -221,11 +217,11 @@ class Lowerer {
 
  private:
   /// A semi- or complement-join whose build side is a stored relation R
-  /// probes R in place instead of hashing it: R.Contains when the keys
-  /// name every column of R exactly once, R's index on c when the build
-  /// is π_c(R). Either does a subset of the hash join's work, so no cost
-  /// contest is needed. Decided on the logical build, which is then not
-  /// lowered: the node's one child is the probe side.
+  /// takes R as its build instead of draining it: R.ContainsKey when the
+  /// keys name every column of R exactly once, R's index on c when the
+  /// build is π_c(R). Either does a subset of the drained join's work, so
+  /// no cost contest is needed. Decided on the logical build, which is
+  /// then not lowered: the node's one child is the probe side.
   Status ChooseProbeJoin(const ExprPtr& expr, PhysicalNode* node) {
     const ExprPtr& build = expr->right();
     const std::vector<JoinKey>& keys = expr->keys();

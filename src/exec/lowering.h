@@ -17,14 +17,14 @@ namespace bryql {
 ///
 ///   * access paths — σ_{col=value}(scan) over an indexed column becomes
 ///     an IndexScan with the remaining conjuncts as a residual filter,
-///     and any other σ_pred(scan) over a relation with zone maps a
-///     zone-pruned ColumnarScan;
+///     and any other σ_pred(scan) a TableScan with the predicate fused
+///     in (zone-pruned when the relation has zone maps as it runs);
 ///   * join algorithm — the whole join family (inner, semi,
 ///     complement/anti, outer, mark) lowers to HashJoin, and
 ///     difference/intersection lower to whole-tuple-key semi/anti joins
 ///     of the same family; a semi/anti join whose build side is a stored
-///     relation (or an indexed π_c of one) probes it in place as a
-///     ProbeJoin instead;
+///     relation (or an indexed π_c of one) takes that relation as its
+///     build, undrained, as a ProbeJoin;
 ///   * build-side placement — inner hash joins build on whichever input
 ///     the cost model estimates strictly smaller (ties build right);
 ///   * cost annotations — every node carries the cost model's row/cost

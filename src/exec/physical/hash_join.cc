@@ -61,6 +61,18 @@ HashJoinOp::HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right,
   }
 }
 
+HashJoinOp::HashJoinOp(PhysicalOpPtr probe, const Relation* stored,
+                       const PhysicalNode& node, PhysicalContext ctx)
+    : left_(std::move(probe)), keys_(node.keys), variant_(node.variant),
+      build_left_(false), pad_arity_(0), ctx_(ctx), shared_build_(nullptr),
+      stored_(stored), by_index_(node.probe_by_index),
+      index_column_(node.index_column), probe_cursor_(left_.get()) {
+  probe_columns_.resize(keys_.size());
+  for (const JoinKey& k : keys_) {
+    probe_columns_[by_index_ ? 0 : k.right] = k.left;
+  }
+}
+
 Status HashJoinOp::Open() {
   // The probe side opens first, the build side is drained second, in
   // the same order at every batch size, so nested blocking edges admit
@@ -68,7 +80,8 @@ Status HashJoinOp::Open() {
   PhysicalOperator* probe = build_left_ ? right_.get() : left_.get();
   PhysicalOperator* build = build_left_ ? left_.get() : right_.get();
   BRYQL_RETURN_NOT_OK(probe->Open());
-  if (shared_build_ != nullptr) return Status::Ok();  // built by the phase
+  // A shared build was built by the phase; a stored one is R itself.
+  if (shared_build_ != nullptr || stored_ != nullptr) return Status::Ok();
   BRYQL_RETURN_NOT_OK(build->Open());
   switch (variant_) {
     case JoinVariant::kInner:
@@ -83,8 +96,7 @@ Status HashJoinOp::Open() {
 }
 
 const TupleTable& HashJoinOp::ProbeTable(size_t* hash) {
-  ++ctx_.stats->hash_probes;
-  ctx_.stats->comparisons += keys_.size();
+  CountProbe();
   *hash = TupleTable::KeyHash(current_probe_, probe_columns_);
   return shared_build_ != nullptr ? shared_build_->TableFor(*hash) : table_;
 }
@@ -97,6 +109,15 @@ bool HashJoinOp::FindMatches() {
 }
 
 bool HashJoinOp::ContainsKey() {
+  if (stored_ != nullptr) {
+    CountProbe();
+    if (by_index_) {
+      return !stored_->Matches(index_column_,
+                               current_probe_.at(probe_columns_[0]))
+                  .empty();
+    }
+    return stored_->ContainsKey(current_probe_, probe_columns_);
+  }
   size_t hash = 0;
   return ProbeTable(&hash).ContainsKey(current_probe_, probe_columns_, hash);
 }

@@ -68,6 +68,14 @@ class ProductOp : public PhysicalOperator {
 /// once, concurrently, before this operator existed: Open skips the drain,
 /// probes go to the shared table, and the build-side operator pointer is
 /// null. Serial probes pay only a predicted-null branch.
+///
+/// A stored build (a kProbeJoin node) needs no drain either: the build
+/// side is a stored relation R, which already is a key set. A contains
+/// probe asks Relation::ContainsKey with the probe columns in R's column
+/// order, hashed and compared in place as a drained key set is; an index
+/// probe asks for a non-empty Relation::Matches on R's indexed column.
+/// Either charges what the drained probe would (one hash probe, one
+/// comparison per key), and nothing for R, which is never scanned.
 class HashJoinOp : public PhysicalOperator {
  public:
   /// `predicate` is the residual condition for kInner (evaluated on the
@@ -79,6 +87,12 @@ class HashJoinOp : public PhysicalOperator {
              std::vector<JoinKey> keys, JoinVariant variant,
              PredicatePtr predicate, bool build_left, size_t pad_arity,
              PhysicalContext ctx, const SharedJoinBuild* shared_build = nullptr);
+  /// The stored build of `node`, a kProbeJoin whose one child `probe` is
+  /// the probe side. `stored` must be the relation `node` was lowered for
+  /// (PlanRuntime refuses a plan whose relation lost its index or changed
+  /// arity).
+  HashJoinOp(PhysicalOpPtr probe, const Relation* stored,
+             const PhysicalNode& node, PhysicalContext ctx);
   Status Open() override;
   Status NextBatch(TupleBatch* out) override;
   void Close() override {
@@ -93,6 +107,11 @@ class HashJoinOp : public PhysicalOperator {
   Status NextMark(TupleBatch* out);
   /// Moves the partnerless probe row into `out`, padded with ∅.
   void EmitPadded(TupleBatch* out);
+  /// Counts the probe of current_probe_.
+  void CountProbe() {
+    ++ctx_.stats->hash_probes;
+    ctx_.stats->comparisons += keys_.size();
+  }
   /// Counts the probe of current_probe_ and returns the table to look
   /// its key up in (the shared build's shard, or table_); `*hash` is the
   /// key's hash.
@@ -110,6 +129,13 @@ class HashJoinOp : public PhysicalOperator {
   size_t pad_arity_;
   PhysicalContext ctx_;
   const SharedJoinBuild* shared_build_;
+  /// The stored build, or null. With `by_index_` its index on
+  /// `index_column_` is probed with the probe row's probe_columns_[0];
+  /// otherwise probe_columns_ names the probe column keyed to each of its
+  /// columns, in its column order.
+  const Relation* stored_ = nullptr;
+  bool by_index_ = false;
+  size_t index_column_ = 0;
   std::vector<size_t> build_columns_;  // the key columns of a build row
   std::vector<size_t> probe_columns_;  // the key columns of a probe row
 

@@ -156,15 +156,6 @@ Status ParallelRuntime::PrepareSpine(const PhysicalPlanPtr& node) {
               rel->Matches(node->index_column, node->index_value).size()));
       return Status::Ok();
     }
-    case PhysicalKind::kColumnarScan: {
-      // Morsels are segment-aligned (kMorselSize == kSegmentRows) and
-      // sized over the row count.
-      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             db_->Get(node->relation_name));
-      shared_.morsels.emplace(
-          node.get(), std::make_unique<MorselSource>(rel->size()));
-      return Status::Ok();
-    }
     case PhysicalKind::kFilter:
       return PrepareSpine(node->children[0]);
     case PhysicalKind::kProject: {

@@ -7,12 +7,10 @@
 #include <utility>
 
 #include "common/failpoints.h"
-#include "exec/physical/columnar_scan.h"
 #include "exec/physical/division.h"
 #include "exec/physical/filter.h"
 #include "exec/physical/hash_join.h"
 #include "exec/physical/parallel.h"
-#include "exec/physical/probe_join.h"
 #include "exec/physical/scan.h"
 #include "exec/physical/set_ops.h"
 
@@ -114,9 +112,10 @@ class TimedOp : public PhysicalOperator {
 
 /// The stored relation `node` (a scan or probe join) reads, refused
 /// unless it is still what the plan was lowered for: its arity (the key
-/// count of a contains probe), and the index or zone maps it reads
-/// through. Every stored relation enters a plan at such a node, so a plan
-/// runs only on the catalog it was lowered for. QueryProcessor
+/// count of a contains probe), and the index it reads through. Zone maps
+/// are not part of it: a scan consults them when it runs. Every stored
+/// relation enters a plan at such a node, so a plan runs only on the
+/// catalog it was lowered for. QueryProcessor
 /// re-prepares stale plans from their text, so only a physical plan run
 /// by hand gets here; running on would answer wrongly (Matches is empty
 /// for an unindexed column) or read past the end of a row.
@@ -132,9 +131,6 @@ Result<const Relation*> LoweredRelation(const Database& db,
     lost = "arity " + std::to_string(arity);
   } else if (by_index && !rel->HasIndex(node.index_column)) {
     lost = "an index on column " + std::to_string(node.index_column);
-  } else if (node.kind == PhysicalKind::kColumnarScan &&
-             rel->zone_maps() == nullptr) {
-    lost = "zone maps";
   } else {
     return rel;
   }
@@ -183,12 +179,12 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       BRYQL_FAILPOINT("exec.scan.open");
       BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
                              LoweredRelation(*ctx_.db, *node));
-      op = PhysicalOpPtr(new TableScanOp(rel, ctx_, morsels));
+      op = PhysicalOpPtr(new ScanOp(rel, node->predicate, ctx_, morsels));
       break;
     }
     case PhysicalKind::kLiteralScan: {
       op = PhysicalOpPtr(
-          new TableScanOp(node->literal.get(), ctx_, morsels));
+          new ScanOp(node->literal.get(), nullptr, ctx_, morsels));
       break;
     }
     case PhysicalKind::kIndexScan: {
@@ -198,14 +194,6 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
       op = PhysicalOpPtr(new IndexScanOp(
           rel, rel->Matches(node->index_column, node->index_value),
           node->predicate, ctx_, morsels));
-      break;
-    }
-    case PhysicalKind::kColumnarScan: {
-      BRYQL_FAILPOINT("exec.scan.open");
-      BRYQL_ASSIGN_OR_RETURN(const Relation* rel,
-                             LoweredRelation(*ctx_.db, *node));
-      op = PhysicalOpPtr(
-          new ColumnarScanOp(rel, node->predicate, ctx_, morsels));
       break;
     }
     case PhysicalKind::kFilter: {
@@ -249,7 +237,7 @@ Result<PhysicalOpPtr> PlanRuntime::Build(const PhysicalPlanPtr& node,
                              LoweredRelation(*ctx_.db, *node));
       BRYQL_ASSIGN_OR_RETURN(PhysicalOpPtr probe,
                              Build(node->children[0], depth + 1));
-      op = PhysicalOpPtr(new ProbeJoinOp(std::move(probe), rel, *node, ctx_));
+      op = PhysicalOpPtr(new HashJoinOp(std::move(probe), rel, *node, ctx_));
       break;
     }
     case PhysicalKind::kHashJoin: {

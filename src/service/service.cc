@@ -37,6 +37,13 @@ bool Retryable(const Status& status) {
 
 constexpr uint64_t kInitialLatencyEstimateNs = 500 * 1000;  // 0.5ms
 
+/// Queue-occupancy fraction beyond which *new* work starts one rung down
+/// the ladder (serial) so the backlog drains faster.
+constexpr double kOverloadDegradeThreshold = 0.5;
+
+/// Growth of the retry backoff per attempt.
+constexpr double kBackoffMultiplier = 2.0;
+
 }  // namespace
 
 const char* PriorityName(Priority priority) {
@@ -256,7 +263,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
   // work starts one rung down (serial) so the backlog drains faster.
   int base_level = 0;
   if (options_.enable_degradation &&
-      admit.occupancy >= options_.overload_degrade_threshold) {
+      admit.occupancy >= kOverloadDegradeThreshold) {
     base_level = 1;
     overload_degraded_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -327,7 +334,7 @@ Result<ServiceReply> QueryService::Submit(const ServiceRequest& request) {
     // same way.
     double scale = 1.0;
     for (size_t i = 0; i < attempt; ++i) {
-      scale *= options_.retry.backoff_multiplier;
+      scale *= kBackoffMultiplier;
     }
     auto backoff = std::chrono::nanoseconds(static_cast<int64_t>(
         static_cast<double>(options_.retry.initial_backoff.count()) * scale));

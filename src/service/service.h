@@ -29,8 +29,8 @@ constexpr size_t kPriorityLevels = 3;
 
 const char* PriorityName(Priority priority);
 
-/// Automatic-retry knobs: exponential backoff with deterministic,
-/// seed-derived jitter. Retries apply to the *transient* error class —
+/// Automatic-retry knobs: exponential backoff (doubling per retry) with
+/// deterministic, seed-derived jitter. Retries apply to the *transient* error class —
 /// Status::IsTransient() and kInternal faults tagged by an exception
 /// barrier (Status::IsContainedException()) — never to resource verdicts
 /// (a budget trip is a property of the query, not of luck), to semantic
@@ -40,7 +40,6 @@ struct RetryPolicy {
   /// Total tries including the first. 1 = no retries.
   size_t max_attempts = 4;
   std::chrono::nanoseconds initial_backoff{std::chrono::milliseconds(1)};
-  double backoff_multiplier = 2.0;
   std::chrono::nanoseconds max_backoff{std::chrono::milliseconds(50)};
   /// Fraction of each backoff randomized away (0 = none, 1 = full
   /// jitter). The random stream is a pure function of ServiceOptions::seed
@@ -59,11 +58,9 @@ struct ServiceOptions {
   size_t max_queue_depth = 64;
   RetryPolicy retry;
   /// Master switch for the degradation ladder (below). Off = every
-  /// attempt runs exactly as requested.
+  /// attempt runs exactly as requested; on, new work admitted into a
+  /// queue at least half full also starts one rung down.
   bool enable_degradation = true;
-  /// Queue-occupancy fraction beyond which *new* work starts one rung
-  /// down the ladder (serial) so the backlog drains faster.
-  double overload_degrade_threshold = 0.5;
   /// Seed of the jitter stream (and nothing else — fault schedules are
   /// seeded at the failpoint layer).
   uint64_t seed = 0x5eed5eed5eed5eedull;

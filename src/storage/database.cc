@@ -61,20 +61,13 @@ Status Database::EnableColumnar(const std::string& name) {
     return Status::NotFound("no relation named '" + name + "'");
   }
   it->second.BuildZoneMaps();
-  // A new access path invalidates prepared plans, like BuildIndex does.
-  ++version_;
   return Status::Ok();
 }
 
 void Database::EnableColumnarAll() {
-  bool built = false;
   for (auto& [name, rel] : relations_) {
-    if (rel.zone_maps() == nullptr) {
-      rel.BuildZoneMaps();
-      built = true;
-    }
+    if (rel.zone_maps() == nullptr) rel.BuildZoneMaps();
   }
-  if (built) ++version_;
 }
 
 std::vector<std::string> Database::Names() const {

@@ -44,14 +44,14 @@ class Database {
   void BuildAllIndexes();
 
   /// Builds zone maps over the rows of relation `name` (NotFound when no
-  /// such relation). Once built they are maintained by inserts, and the
-  /// lowerer turns a selection over the relation into a zone-pruned
-  /// ColumnarScan.
+  /// such relation). Once built they are maintained by inserts, and every
+  /// scan with a selection over the relation prunes by them. No plan
+  /// depends on them, so the catalog version does not move: prepared
+  /// plans stay valid and prune from their next run.
   Status EnableColumnar(const std::string& name);
 
-  /// Builds zone maps for every relation that lacks them. Idempotent:
-  /// the catalog version only advances when zone maps were actually built,
-  /// so prepared plans survive redundant calls.
+  /// Builds zone maps for every relation that lacks them; the version
+  /// does not move either.
   void EnableColumnarAll();
 
   /// Registered names in lexicographic order.

@@ -67,6 +67,12 @@ class Relation {
     return row.size() == arity_ && rows_.Contains(row, HashValues(row));
   }
   bool Contains(const Tuple& tuple) const { return Contains(tuple.values()); }
+  /// Whether the row (src[cols[0]], src[cols[1]], ...) is stored: Contains
+  /// of that row, hashed and compared in place, so no key tuple is built.
+  /// False when `cols` names another number of columns than the arity.
+  bool ContainsKey(const Tuple& src, const std::vector<size_t>& cols) const {
+    return cols.size() == arity_ && rows_.ContainsKey(src, cols);
+  }
 
   /// The values of row `i` (insertion order), valid until the next
   /// Insert.

@@ -81,15 +81,17 @@ TEST(LoweringTest, IndexScanKeepsResidualConjuncts) {
   ASSERT_NE(plan->predicate, nullptr);  // the `$1 < 5` residual survives
 }
 
-TEST(LoweringTest, UnindexedSelectionStaysAFilter) {
+TEST(LoweringTest, UnindexedSelectionFusesIntoTheScan) {
   Database db = TwoTables();
   auto plan = Lower(db, Expr::Select(Expr::Scan("small"),
                                      Predicate::ColVal(CompareOp::kEq, 0,
                                                        Value::Int(7))));
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->kind, PhysicalKind::kFilter);
-  ASSERT_EQ(plan->children.size(), 1u);
-  EXPECT_EQ(plan->children[0]->kind, PhysicalKind::kTableScan);
+  EXPECT_EQ(plan->kind, PhysicalKind::kTableScan);
+  EXPECT_TRUE(plan->children.empty());
+  EXPECT_EQ(plan->relation_name, "small");
+  ASSERT_NE(plan->predicate, nullptr);
+  EXPECT_EQ(plan->Label(), "TableScan small [$0 = 7]");
 }
 
 TEST(LoweringTest, CostModelPutsSmallerInputOnBuildSide) {

@@ -108,7 +108,7 @@ TEST(PlanCacheChurnTest, ConcurrentRunsNeverSeeStaleAnswers) {
   }
 
   // Exact accounting: every cached run did exactly one cache lookup
-  // (a stale hit still counts as the hit it was), evictions only ever
+  // (a stale entry counts as the miss it is), evictions only ever
   // follow insertions from misses, and capacity holds.
   PlanCacheStats stats = qp.cache_stats();
   EXPECT_EQ(stats.hits + stats.misses, cached_runs);
@@ -117,6 +117,34 @@ TEST(PlanCacheChurnTest, ConcurrentRunsNeverSeeStaleAnswers) {
   EXPECT_GT(stats.hits, 0u) << "churn never re-used a plan — test inert";
   // 4 queries rotating through 2 slots across 5 rounds must evict.
   EXPECT_GT(stats.evictions, 0u);
+}
+
+/// An entry prepared before a Put is stale: running its text again is a
+/// miss (and prepares it again), not a hit.
+TEST(PlanCacheChurnTest, StaleEntryCountsAsAMiss) {
+  Database db = MakeUniversity(ChurnConfig());
+  QueryProcessor qp(&db);
+  const char* text = kQueries[1];
+  ASSERT_TRUE(qp.Run(text).ok());
+  ASSERT_TRUE(qp.Run(text).ok());
+  const PlanCacheStats warm = qp.cache_stats();
+  EXPECT_EQ(warm.hits, 1u);
+  EXPECT_EQ(warm.misses, 1u);
+
+  AddStudent(&db, 0);
+  const PrepareCounters counters_before = qp.prepare_counters();
+  auto stale = qp.Run(text);
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  EXPECT_FALSE(stale->plan_cache_hit);
+  EXPECT_EQ(qp.cache_stats().hits, warm.hits);
+  EXPECT_EQ(qp.cache_stats().misses, warm.misses + 1);
+  EXPECT_EQ(qp.prepare_counters().parses, counters_before.parses + 1);
+  EXPECT_EQ(qp.cache_size(), 1u);  // the fresh entry replaced the stale one
+
+  auto fresh = qp.Run(text);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(fresh->plan_cache_hit);
+  EXPECT_EQ(qp.cache_stats().hits, warm.hits + 1);
 }
 
 TEST(PlanCacheChurnTest, StalePreparedHandlesRevalidateAgainstTheCatalog) {

@@ -230,12 +230,12 @@ TEST(PlanCacheUnitTest, EvictsLeastRecentlyUsed) {
   };
   cache.Put("a", entry("a"));
   cache.Put("b", entry("b"));
-  ASSERT_NE(cache.Get("a"), nullptr);  // refresh a: b is now the LRU
-  cache.Put("c", entry("c"));          // evicts b
+  ASSERT_NE(cache.Get("a", 0), nullptr);  // refresh a: b is now the LRU
+  cache.Put("c", entry("c"));             // evicts b
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
+  EXPECT_NE(cache.Get("a", 0), nullptr);
+  EXPECT_EQ(cache.Get("b", 0), nullptr);
+  EXPECT_NE(cache.Get("c", 0), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -248,7 +248,7 @@ TEST(PlanCacheUnitTest, PutReplacesAndClearKeepsCounters) {
   cache.Put("k", p1);
   cache.Put("k", p2);
   EXPECT_EQ(cache.size(), 1u);
-  auto got = cache.Get("k");
+  auto got = cache.Get("k", 0);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->text, "v2");
   cache.Clear();

@@ -300,6 +300,46 @@ TEST(RelationMembershipTest, IntAndDoubleCollapseNanNeverDedups) {
   EXPECT_EQ(r.rows()[0].at(0).kind(), ValueKind::kInt);  // first one kept
 }
 
+/// ContainsKey asks Contains of the key (src[cols[0]], ...) without
+/// building it: the two agree on every probe, including the Int/Double
+/// collapse, NaN (never found), ∅ and ⊥, and a column list of another
+/// width than the arity finds nothing.
+TEST(RelationMembershipTest, ContainsKeyAgreesWithContainsOnTheBuiltKey) {
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  Relation r(2);
+  ASSERT_TRUE(*r.Insert(Tuple({Value::Int(2), Value::String("a")})));
+  ASSERT_TRUE(*r.Insert(Tuple({Value::Null(), Value::Mark()})));
+  ASSERT_TRUE(*r.Insert(Tuple({nan, Value::String("n")})));
+  // Probe rows carry the key in reversed order behind a spare column.
+  const std::vector<size_t> cols = {2, 1};
+  const Value probes[][2] = {
+      {Value::Int(2), Value::String("a")},
+      {Value::Double(2.0), Value::String("a")},
+      {Value::Int(2), Value::String("b")},
+      {Value::Null(), Value::Mark()},
+      {Value::Mark(), Value::Null()},
+      {nan, Value::String("n")},
+  };
+  for (const auto& key : probes) {
+    const Tuple src({Value::Int(0), key[1], key[0]});
+    const Tuple built({key[0], key[1]});
+    EXPECT_EQ(r.ContainsKey(src, cols), r.Contains(built))
+        << built.ToString();
+  }
+  EXPECT_TRUE(r.ContainsKey(Tuple({Value::Int(0), Value::String("a"),
+                                   Value::Double(2.0)}),
+                            cols));
+  EXPECT_TRUE(r.ContainsKey(
+      Tuple({Value::Int(0), Value::Mark(), Value::Null()}), cols));
+  EXPECT_FALSE(r.ContainsKey(
+      Tuple({Value::Int(0), Value::String("n"), nan}), cols));
+  // Another width than the arity is never a stored row.
+  const Tuple wide({Value::Int(2), Value::String("a"), Value::Int(2)});
+  EXPECT_FALSE(r.ContainsKey(wide, {0}));
+  EXPECT_FALSE(r.ContainsKey(wide, {0, 1, 2}));
+  EXPECT_FALSE(r.ContainsKey(wide, {}));
+}
+
 TEST(RelationMembershipTest, NanRowsPairInSetEquality) {
   const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
   Relation one(1);
